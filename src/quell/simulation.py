@@ -39,8 +39,10 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import chain, zip_longest
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .actuation import (
     DEFAULT_SHARES,
@@ -256,8 +258,9 @@ class Scenario:
         return replace(self, response_enabled=False)
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
+    """One process-epoch of a run; a plain tuple of its fields, in CSV order."""
+
     epoch: int
     process_id: str
     verdict: str
@@ -296,17 +299,30 @@ class ScenarioLog:
 
     A terminated process stops producing records after its termination
     epoch, so its record count can be smaller than ``epochs``.
+
+    The records are indexed by process once per log: ``run_scenario``
+    hands over the per-process runs it merged, and a log built by hand
+    indexes its ``records`` on first use. ``process_ids``,
+    ``for_process`` and ``total_progress`` read that index, so a report
+    over every process is linear in records.
     """
 
     epochs: int
     records: tuple[EpochRecord, ...]
 
+    @cached_property
+    def _by_process(self) -> dict[str, tuple[EpochRecord, ...]]:
+        rows: dict[str, list[EpochRecord]] = {}
+        for record in self.records:
+            rows.setdefault(record.process_id, []).append(record)
+        return {process_id: tuple(rows) for process_id, rows in sorted(rows.items())}
+
     def process_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({r.process_id for r in self.records}))
+        return tuple(self._by_process)
 
     def for_process(self, process_id: str) -> tuple[EpochRecord, ...]:
-        rows = tuple(r for r in self.records if r.process_id == process_id)
-        if not rows:
+        rows = self._by_process.get(process_id)
+        if rows is None:
             raise ValueError(f"no records for process {process_id!r}")
         return rows
 
@@ -345,41 +361,19 @@ class SlowdownReport:
         )
 
 
-def _record(
-    epoch: int,
-    process_id: str,
-    verdict: str,
-    ledger: ThreatLedger,
-    shares: ResourceShares,
-    progress: float,
-    cumulative: float,
-) -> EpochRecord:
-    return EpochRecord(
-        epoch=epoch,
-        process_id=process_id,
-        verdict=verdict,
-        penalty=ledger.penalty,
-        compensation=ledger.compensation,
-        threat_index=ledger.threat_index,
-        state=ledger.state.value,
-        cpu=shares.cpu,
-        memory=shares.memory,
-        network=shares.network,
-        filesystem=shares.filesystem,
-        progress=progress,
-        cumulative=cumulative,
-    )
-
-
 def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
     ledger = ThreatLedger()
+    state_name = ledger.state.value
     shares = DEFAULT_SHARES
+    # Progress depends on the shares only; actuation often returns the
+    # same shares object, so rate it again only when that object changes.
+    rated_shares = None
+    rate = 0.0
     cumulative = 0.0
     records: list[EpochRecord] = []
     for epoch in range(scenario.epochs):
         if epoch == 0 or not scenario.response_enabled:
             verdict_name = NO_VERDICT
-            progress = progress_rate(spec.model, shares)
         else:
             try:
                 verdict = next_verdict(spec.source, epoch)
@@ -396,30 +390,54 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
                     scenario.measurements_per_epoch,
                 )
                 shares = actuate(shares, delta, scenario.actuator)
-                progress = progress_rate(spec.model, shares)
             else:
                 ledger = resolve_terminable(ledger, verdict)
-                if ledger.state is LifecycleState.TERMINATED:
-                    progress = 0.0
-                else:
+                if ledger.state is not LifecycleState.TERMINATED:
                     shares = actuate_reset(shares, scenario.actuator)
-                    progress = progress_rate(spec.model, shares)
+            state_name = ledger.state.value
+        terminated = ledger.state is LifecycleState.TERMINATED
+        if terminated:
+            progress = 0.0
+        else:
+            if shares is not rated_shares:
+                rated_shares = shares
+                rate = progress_rate(spec.model, shares)
+            progress = rate
         cumulative += progress
         records.append(
-            _record(epoch, spec.process_id, verdict_name, ledger, shares, progress, cumulative)
+            EpochRecord(
+                epoch,
+                spec.process_id,
+                verdict_name,
+                ledger.penalty,
+                ledger.compensation,
+                ledger.threat_index,
+                state_name,
+                shares.cpu,
+                shares.memory,
+                shares.network,
+                shares.filesystem,
+                progress,
+                cumulative,
+            )
         )
-        if ledger.state is LifecycleState.TERMINATED:
+        if terminated:
             break
     return records
 
 
 def run_scenario(scenario: Scenario) -> ScenarioLog:
     """Run every process through the scenario and merge the records."""
-    merged: list[EpochRecord] = []
-    for spec in scenario.processes:
-        merged.extend(_run_process(spec, scenario))
-    merged.sort(key=lambda r: (r.epoch, r.process_id))
-    return ScenarioLog(epochs=scenario.epochs, records=tuple(merged))
+    runs = {spec.process_id: tuple(_run_process(spec, scenario)) for spec in scenario.processes}
+    by_process = dict(sorted(runs.items()))
+    # A run holds one record per epoch from epoch 0 on, so the n-th
+    # records of all runs, in id order, are epoch n's rows of the log;
+    # zip_longest pads the runs that ended early with None.
+    rows = zip_longest(*by_process.values())
+    log = ScenarioLog(epochs=scenario.epochs, records=tuple(filter(None, chain.from_iterable(rows))))
+    # The runs are the index the log would otherwise build from ``records``.
+    object.__setattr__(log, "_by_process", by_process)
+    return log
 
 
 def slowdown(with_log: ScenarioLog, without_log: ScenarioLog, process_id: str) -> SlowdownReport:

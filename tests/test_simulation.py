@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quell.actuation import ActuatorPolicy, ResourceShares
+from quell.actuation import ActuationMode, ActuatorPolicy, ResourceShares
 from quell.detectors import StochasticSource, GroundTruth, TraceSource
 from quell.simulation import (
     Cliff,
@@ -18,6 +18,7 @@ from quell.simulation import (
     Scenario,
     ScenarioError,
     ScenarioLog,
+    SlowdownReport,
     progress_rate,
     run_scenario,
     slowdown,
@@ -350,3 +351,195 @@ class TestSlowdown:
         assert [r.process_id for r in reports] == ["a", "b"]
         assert reports[0].slowdown_pct > 0.0
         assert reports[1].slowdown_pct == 0.0
+
+
+def random_fleet(rng, processes, epochs, budget):
+    """Trace-driven processes with random verdicts and curves.
+
+    Ids are drawn so that string order differs from numeric order, and
+    a short budget lets some processes terminate before the last epoch.
+    """
+    curves = (
+        {"cpu": Proportional()},
+        {"network": LinearSaturating(rng.uniform(0.2, 1.0))},
+        {"memory": Cliff(0.95, 4e-4), "cpu": Proportional()},
+    )
+    ids = rng.sample(range(10 * processes), processes)
+    specs = []
+    for number in ids:
+        malicious_share = rng.random()
+        verdicts = tuple(M if rng.random() < malicious_share else B for _ in range(epochs))
+        model = ProgressModel(
+            base_rate=rng.uniform(1.0, 500.0),
+            response=rng.choice(curves),
+            combiner=rng.choice(tuple(Combiner)),
+        )
+        specs.append(ProcessSpec(f"p{number}", model, TraceSource(verdicts, start_epoch=1)))
+    return Scenario(
+        processes=tuple(specs),
+        measurement_budget=budget,
+        penalty_policy=INC,
+        compensation_policy=INC,
+        actuator=ActuatorPolicy(targets=("cpu", "memory", "network")),
+        epochs=epochs,
+    )
+
+
+def naive_rows(log, process_id):
+    return tuple(r for r in log.records if r.process_id == process_id)
+
+
+class TestLogIndex:
+    """The per-process index agrees with a plain scan of ``records``."""
+
+    def check_against_scan(self, log):
+        keys = [(r.epoch, r.process_id) for r in log.records]
+        assert keys == sorted(set(keys))
+        ids = tuple(sorted({r.process_id for r in log.records}))
+        assert log.process_ids() == ids
+        for process_id in ids:
+            rows = naive_rows(log, process_id)
+            assert log.for_process(process_id) == rows
+            assert log.total_progress(process_id) == rows[-1].cumulative
+        with pytest.raises(ValueError, match="no records for process 'ghost'"):
+            log.for_process("ghost")
+        with pytest.raises(ValueError, match="no records for process 'ghost'"):
+            log.total_progress("ghost")
+
+    def test_random_fleets_match_a_scan(self):
+        rng = random.Random(20261018)
+        cut_short = 0
+        for _ in range(40):
+            epochs = rng.randint(2, 14)
+            scenario = random_fleet(rng, rng.randint(1, 12), epochs, rng.randint(1, epochs + 2))
+            with_log = run_scenario(scenario)
+            base_log = run_scenario(scenario.without_response())
+            # Logs built by hand derive their index from ``records``.
+            rebuilt_with = ScenarioLog(with_log.epochs, with_log.records)
+            rebuilt_base = ScenarioLog(base_log.epochs, base_log.records)
+            for log in (with_log, base_log, rebuilt_with, rebuilt_base):
+                self.check_against_scan(log)
+            expected = []
+            for process_id in sorted(spec.process_id for spec in scenario.processes):
+                progress_with = naive_rows(with_log, process_id)[-1].cumulative
+                progress_without = naive_rows(base_log, process_id)[-1].cumulative
+                value = (1.0 - progress_with / progress_without) * 100.0
+                expected.append(
+                    SlowdownReport(
+                        process_id, progress_with, progress_without, min(100.0, max(0.0, value))
+                    )
+                )
+            assert slowdown_reports(with_log, base_log) == tuple(expected)
+            assert slowdown_reports(rebuilt_with, rebuilt_base) == tuple(expected)
+            cut_short += sum(
+                len(naive_rows(with_log, spec.process_id)) < epochs for spec in scenario.processes
+            )
+        assert cut_short > 0
+
+    def test_log_equality_ignores_the_index(self):
+        log = run_scenario(cpu_scenario([M, M, B], epochs=4, budget=2))
+        assert ScenarioLog(log.epochs, log.records) == log
+
+
+class CountingRecords(tuple):
+    """A records tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestReportIsLinear:
+    def report_iterations(self, processes):
+        scenario = random_fleet(random.Random(processes), processes, epochs=6, budget=3)
+        with_log = ScenarioLog(scenario.epochs, CountingRecords(run_scenario(scenario).records))
+        base_log = ScenarioLog(
+            scenario.epochs, CountingRecords(run_scenario(scenario.without_response()).records)
+        )
+        assert len(slowdown_reports(with_log, base_log)) == processes
+        return with_log.records.iterations, base_log.records.iterations
+
+    def test_each_log_is_scanned_a_bounded_number_of_times(self):
+        small = self.report_iterations(10)
+        large = self.report_iterations(200)
+        assert small == large
+        assert max(large) <= 1
+
+
+class TestProgressCache:
+    """Progress is rated from the shares the record shows, epoch by epoch."""
+
+    TRACES = {
+        # Throttled through the budget, then benign verdicts restore the
+        # default shares while the ledger stays terminable.
+        "restored": [M, M, B, M] + [B] * 7,
+        # Throttled, restored once, then terminated.
+        "terminated": [M, B, M, M, B, M],
+        # Benign throughout: actuation keeps returning the same shares.
+        "calm": [B] * 11,
+        # Recovers below the budget, so shares rise again before it fills.
+        "recovered": [M, B, B, B, B, B, M, B, B, B, B],
+    }
+
+    @pytest.mark.parametrize("mode", list(ActuationMode))
+    @pytest.mark.parametrize(
+        "response",
+        [
+            {"cpu": Proportional()},
+            {"network": LinearSaturating(0.6)},
+            {"memory": Cliff(0.95, 4e-4)},
+            {"cpu": Proportional(), "memory": Cliff(0.95, 4e-4), "network": LinearSaturating(0.6)},
+        ],
+        ids=["proportional", "saturating", "cliff", "all"],
+    )
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    def test_progress_matches_the_recorded_shares(self, mode, response, combiner):
+        model = ProgressModel(base_rate=225.7, response=response, combiner=combiner)
+        specs = tuple(
+            ProcessSpec(name, model, TraceSource(tuple(verdicts), start_epoch=1))
+            for name, verdicts in self.TRACES.items()
+        )
+        scenario = Scenario(
+            processes=specs,
+            measurement_budget=4,
+            penalty_policy=INC,
+            compensation_policy=INC,
+            actuator=ActuatorPolicy(mode=mode, targets=("cpu", "memory", "network")),
+            epochs=12,
+        )
+        log = run_scenario(scenario)
+        for record in log.records:
+            if record.state == "terminated":
+                assert record.progress == 0.0
+                continue
+            shares = ResourceShares(
+                cpu=record.cpu,
+                memory=record.memory,
+                network=record.network,
+                filesystem=record.filesystem,
+            )
+            assert record.progress == progress_rate(model, shares)
+        for process_id in self.TRACES:
+            rows = log.for_process(process_id)
+            assert [r.cumulative for r in rows] == [
+                fold_sum([r.progress for r in rows[: n + 1]]) for n in range(len(rows))
+            ]
+        restored = log.for_process("restored")
+        assert min(r.cpu for r in restored) < 1.0
+        assert restored[-1].state == "terminable" and restored[-1].cpu == 1.0
+        assert log.for_process("terminated")[-1].state == "terminated"
+
+
+class TestEpochRecord:
+    def test_is_a_plain_tuple_of_its_fields(self):
+        record = run_scenario(cpu_scenario([M], epochs=2, budget=5)).records[1]
+        assert tuple(record) == (
+            1, "proc", "malicious", 1.0, 0.0, 1.0, "suspicious", 0.9, 1.0, 1.0, 1.0, 203.13, 428.83
+        )
+        assert record == tuple(record)
+        assert record._fields == (
+            "epoch", "process_id", "verdict", "penalty", "compensation", "threat_index", "state",
+            "cpu", "memory", "network", "filesystem", "progress", "cumulative",
+        )
