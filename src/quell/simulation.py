@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Mapping, NamedTuple, Union
 
@@ -300,11 +299,9 @@ class ScenarioLog:
     A terminated process stops producing records after its termination
     epoch, so its record count can be smaller than ``epochs``.
 
-    The records are indexed by process once per log: ``run_scenario``
-    hands over the per-process runs it merged, and a log built by hand
-    indexes its ``records`` on first use. ``process_ids``,
-    ``for_process`` and ``total_progress`` read that index, so a report
-    over every process is linear in records.
+    The records are indexed by process once per log, on first use.
+    ``process_ids``, ``for_process`` and ``total_progress`` read that
+    index, so a report over every process is linear in records.
     """
 
     epochs: int
@@ -315,7 +312,7 @@ class ScenarioLog:
         rows: dict[str, list[EpochRecord]] = {}
         for record in self.records:
             rows.setdefault(record.process_id, []).append(record)
-        return {process_id: tuple(rows) for process_id, rows in sorted(rows.items())}
+        return {process_id: tuple(run) for process_id, run in sorted(rows.items())}
 
     def process_ids(self) -> tuple[str, ...]:
         return tuple(self._by_process)
@@ -363,7 +360,6 @@ class SlowdownReport:
 
 def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
     ledger = ThreatLedger()
-    state_name = ledger.state.value
     shares = DEFAULT_SHARES
     # Progress depends on the shares only; actuation often returns the
     # same shares object, so rate it again only when that object changes.
@@ -394,7 +390,6 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
                 ledger = resolve_terminable(ledger, verdict)
                 if ledger.state is not LifecycleState.TERMINATED:
                     shares = actuate_reset(shares, scenario.actuator)
-            state_name = ledger.state.value
         terminated = ledger.state is LifecycleState.TERMINATED
         if terminated:
             progress = 0.0
@@ -412,7 +407,7 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
                 ledger.penalty,
                 ledger.compensation,
                 ledger.threat_index,
-                state_name,
+                ledger.state.value,
                 shares.cpu,
                 shares.memory,
                 shares.network,
@@ -428,16 +423,11 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
 
 def run_scenario(scenario: Scenario) -> ScenarioLog:
     """Run every process through the scenario and merge the records."""
-    runs = {spec.process_id: tuple(_run_process(spec, scenario)) for spec in scenario.processes}
-    by_process = dict(sorted(runs.items()))
-    # A run holds one record per epoch from epoch 0 on, so the n-th
-    # records of all runs, in id order, are epoch n's rows of the log;
-    # zip_longest pads the runs that ended early with None.
-    rows = zip_longest(*by_process.values())
-    log = ScenarioLog(epochs=scenario.epochs, records=tuple(filter(None, chain.from_iterable(rows))))
-    # The runs are the index the log would otherwise build from ``records``.
-    object.__setattr__(log, "_by_process", by_process)
-    return log
+    merged: list[EpochRecord] = []
+    for spec in scenario.processes:
+        merged.extend(_run_process(spec, scenario))
+    merged.sort(key=lambda r: (r.epoch, r.process_id))
+    return ScenarioLog(epochs=scenario.epochs, records=tuple(merged))
 
 
 def slowdown(with_log: ScenarioLog, without_log: ScenarioLog, process_id: str) -> SlowdownReport:
