@@ -49,7 +49,6 @@ from .efficacy import (
 from .hostadapter import (
     Ack,
     CallRecord,
-    FakeClock,
     FakeHostAdapter,
     HostAdapter,
     LinuxSignalAdapter,
@@ -70,6 +69,7 @@ from .simulation import (
     ScenarioLog,
     SlowdownReport,
     progress_rate,
+    respond,
     run_scenario,
     slowdown,
     slowdown_reports,
@@ -83,8 +83,7 @@ from .threat import (
     LifecycleState,
     ThreatLedger,
     Verdict,
-    assess_compensation,
-    assess_penalty,
+    assess,
     clamp,
     mark_completed,
     resolve_terminable,
@@ -103,8 +102,7 @@ __all__ = [
     "AssessmentPolicy",
     "ThreatLedger",
     "clamp",
-    "assess_penalty",
-    "assess_compensation",
+    "assess",
     "step_epoch",
     "resolve_terminable",
     "mark_completed",
@@ -153,6 +151,7 @@ __all__ = [
     "SlowdownReport",
     "ScenarioError",
     "progress_rate",
+    "respond",
     "run_scenario",
     "slowdown",
     "slowdown_reports",
@@ -160,7 +159,6 @@ __all__ = [
     # host adapter
     "Ack",
     "CallRecord",
-    "FakeClock",
     "FakeHostAdapter",
     "HostAdapter",
     "LinuxSignalAdapter",

@@ -153,9 +153,8 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
     return ResourceShares(**values)
 
 
-def actuate_reset(shares: ResourceShares, policy: ActuatorPolicy) -> ResourceShares:
+def actuate_reset() -> ResourceShares:
     """Restore every resource to the full attach-time allotment."""
-    del shares, policy  # the restored state is absolute
     return DEFAULT_SHARES
 
 

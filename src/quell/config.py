@@ -88,8 +88,6 @@ def _get(section: configparser.SectionProxy, key: str, kind, default=None, requi
         return default
     raw = section[key].strip()
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
         return kind(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}") from None

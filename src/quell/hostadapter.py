@@ -1,22 +1,21 @@
 """Host process control behind one small surface.
 
-An adapter exposes five calls: ``poll`` (is the process still there),
-``apply_shares`` (set resource limits to shares of the attach-time
-defaults), ``terminate``, ``pause``, and ``resume``. Handle validity is
-checked before every call; acting on a process that is gone raises
-``StaleHandleError``, except ``terminate``, which acknowledges as a
+An adapter exposes the three calls the supervisor makes: ``poll`` (is
+the process still there), ``apply_shares`` (set resource limits to
+shares of the attach-time defaults), and ``terminate``. Handle validity
+is checked before every call; applying shares to a process that is gone
+raises ``StaleHandleError``, while ``terminate`` acknowledges it as a
 no-op.
 
 ``FakeHostAdapter`` is fully scripted and is what every test drives. It
-keeps an append-only call log (exportable as CSV), flags redundant calls
-(idempotence is observable), and accounts run versus paused time against
-a fake clock so duty-cycle behavior can be checked without sleeping.
+keeps an append-only call log (exportable as CSV) and flags redundant
+applies, so idempotence is observable.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
-pause/resume/terminate map to SIGSTOP/SIGCONT/SIGKILL, and a CPU share
-below 1.0 is enforced by a duty-cycle thread that stops and continues
-the process over a fixed period. Memory, network, and filesystem limits
-are reported unsupported per-resource; supported resources still apply.
+``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
+duty-cycle thread that stops (SIGSTOP) and continues (SIGCONT) the
+process over a fixed period. Memory, network, and filesystem limits are
+reported unsupported per-resource; supported resources still apply.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "ProcessHandle",
     "Ack",
     "CallRecord",
-    "FakeClock",
     "FakeHostAdapter",
     "LinuxSignalAdapter",
     "HostAdapter",
@@ -67,8 +65,8 @@ class ProcessHandle:
 class Ack:
     """Acknowledgment for one adapter call.
 
-    ``noop`` marks idempotent repeats (pausing a paused process,
-    terminating an exited one, re-applying current shares).
+    ``noop`` marks idempotent repeats (terminating an exited process,
+    re-applying current shares).
     ``unsupported`` lists resources this host cannot limit; the rest
     were still applied.
     """
@@ -86,26 +84,10 @@ class HostAdapter(Protocol):
 
     def terminate(self, handle: ProcessHandle) -> Ack: ...
 
-    def pause(self, handle: ProcessHandle) -> Ack: ...
-
-    def resume(self, handle: ProcessHandle) -> Ack: ...
-
 
 def format_shares(shares: ResourceShares) -> str:
     """Deterministic single-field rendering used in call logs."""
     return ";".join(f"{_SHORT[name]}={shares.get(name):.6f}" for name in RESOURCES)
-
-
-class FakeClock:
-    """Manually advanced milliseconds counter."""
-
-    def __init__(self, now_ms: float = 0.0) -> None:
-        self.now_ms = now_ms
-
-    def advance(self, ms: float) -> None:
-        if ms < 0:
-            raise ValueError("the clock only moves forward")
-        self.now_ms += ms
 
 
 @dataclass
@@ -125,10 +107,6 @@ class _FakeProcess:
     handle: ProcessHandle
     shares: ResourceShares
     alive: bool = True
-    paused: bool = False
-    run_ms: float = 0.0
-    paused_ms: float = 0.0
-    last_sync_ms: float = 0.0
 
 
 class FakeHostAdapter:
@@ -136,19 +114,13 @@ class FakeHostAdapter:
 
     ``unsupported`` simulates a host that cannot limit some resources;
     those components of an apply are skipped and reported while the rest
-    apply. Run/paused time is accounted against the fake clock, so the
-    effective CPU share of a duty-cycled process is observable.
+    apply.
     """
 
-    def __init__(
-        self,
-        clock: FakeClock | None = None,
-        unsupported: tuple[str, ...] = (),
-    ) -> None:
+    def __init__(self, unsupported: tuple[str, ...] = ()) -> None:
         unknown = [r for r in unsupported if r not in RESOURCES]
         if unknown:
             raise ValueError(f"unknown resources: {unknown}")
-        self.clock = clock if clock is not None else FakeClock()
         self.unsupported = tuple(r for r in RESOURCES if r in set(unsupported))
         self.calls: list[CallRecord] = []
         self._processes: dict[str, _FakeProcess] = {}
@@ -161,17 +133,13 @@ class FakeHostAdapter:
         if ident in self._processes:
             raise ValueError(f"process {ident!r} already exists")
         handle = ProcessHandle(ident=ident, default_shares=default_shares)
-        self._processes[ident] = _FakeProcess(
-            handle=handle, shares=default_shares, last_sync_ms=self.clock.now_ms
-        )
+        self._processes[ident] = _FakeProcess(handle=handle, shares=default_shares)
         self._log(ident, "attach", format_shares(default_shares))
         return handle
 
     def script_natural_exit(self, handle: ProcessHandle) -> None:
         """Mark the process as having exited on its own."""
-        proc = self._lookup(handle)
-        self._sync(proc)
-        proc.alive = False
+        self._lookup(handle).alive = False
 
     # -- adapter surface ----------------------------------------------------
 
@@ -196,40 +164,14 @@ class FakeHostAdapter:
         proc = self._lookup(handle)
         if not proc.alive:
             return Ack(call="terminate", noop=True)
-        self._sync(proc)
         proc.alive = False
         self._log(handle.ident, "terminate", "")
         return Ack(call="terminate")
 
-    def pause(self, handle: ProcessHandle) -> Ack:
-        proc = self._live(handle)
-        self._sync(proc)
-        noop = proc.paused
-        proc.paused = True
-        self._log(handle.ident, "pause", "", redundant=noop)
-        return Ack(call="pause", noop=noop)
-
-    def resume(self, handle: ProcessHandle) -> Ack:
-        proc = self._live(handle)
-        self._sync(proc)
-        noop = not proc.paused
-        proc.paused = False
-        self._log(handle.ident, "resume", "", redundant=noop)
-        return Ack(call="resume", noop=noop)
-
-    # -- accounting and export ----------------------------------------------
+    # -- inspection and export ----------------------------------------------
 
     def applied_shares(self, handle: ProcessHandle) -> ResourceShares:
         return self._lookup(handle).shares
-
-    def effective_cpu_share(self, handle: ProcessHandle) -> float:
-        """Run time over total time, as accounted on the fake clock."""
-        proc = self._lookup(handle)
-        self._sync(proc)
-        total = proc.run_ms + proc.paused_ms
-        if total <= 0.0:
-            raise ValueError("no time has passed for this process")
-        return proc.run_ms / total
 
     def export_calls_csv(self, destination: str | Path | io.TextIOBase) -> None:
         if isinstance(destination, (str, Path)):
@@ -259,17 +201,6 @@ class FakeHostAdapter:
         if not proc.alive:
             raise StaleHandleError(f"process {handle.ident!r} already exited")
         return proc
-
-    def _sync(self, proc: _FakeProcess) -> None:
-        if not proc.alive:
-            return
-        elapsed = self.clock.now_ms - proc.last_sync_ms
-        if elapsed > 0:
-            if proc.paused:
-                proc.paused_ms += elapsed
-            else:
-                proc.run_ms += elapsed
-        proc.last_sync_ms = self.clock.now_ms
 
 
 class _DutyCycler(threading.Thread):
@@ -354,26 +285,12 @@ class LinuxSignalAdapter:
             return Ack(call="terminate", noop=True)
         return Ack(call="terminate")
 
-    def pause(self, handle: ProcessHandle) -> Ack:
-        self._signal(handle, signal.SIGSTOP)
-        return Ack(call="pause")
-
-    def resume(self, handle: ProcessHandle) -> Ack:
-        self._signal(handle, signal.SIGCONT)
-        return Ack(call="resume")
-
     def close(self) -> None:
         for ident in list(self._cyclers):
             self._stop_cycler(ident)
 
     def _unsupported(self) -> tuple[str, ...]:
         return ("memory", "network", "filesystem")
-
-    def _signal(self, handle: ProcessHandle, signo: int) -> None:
-        try:
-            os.kill(int(handle.ident), signo)
-        except ProcessLookupError:
-            raise StaleHandleError(f"process {handle.ident} already exited") from None
 
     def _require_alive(self, handle: ProcessHandle) -> int:
         pid = int(handle.ident)

@@ -7,7 +7,9 @@ actuates the shares, then accrues progress at the post-actuation shares.
 Once the measurement budget fills, the ledger is terminable and each
 epoch resolves it instead: benign restores the default shares and keeps
 going, malicious terminates the process. The termination epoch accrues
-zero progress and is the process's final record.
+zero progress and is the process's final record. ``respond`` is that
+per-epoch transition; the supervisor runs the same function against a
+live host.
 
 Progress per epoch is ``base_rate`` scaled by the process's response to
 its current shares. Response curves map one resource's share to a
@@ -75,6 +77,7 @@ __all__ = [
     "SlowdownReport",
     "ScenarioError",
     "progress_rate",
+    "respond",
     "run_scenario",
     "slowdown",
     "slowdown_reports",
@@ -358,6 +361,32 @@ class SlowdownReport:
         )
 
 
+def respond(
+    ledger: ThreatLedger, shares: ResourceShares, verdict: Verdict, scenario: Scenario
+) -> tuple[ThreatLedger, ResourceShares]:
+    """Apply one verdict: the ledger and shares after this epoch's response.
+
+    A terminable ledger is resolved: malicious terminates the process and
+    leaves its shares as they were, benign restores the defaults. Any
+    other ledger is stepped and its threat delta actuated. Both drivers
+    read what to do from the result: a terminated ledger or new shares.
+    """
+    if ledger.state is LifecycleState.TERMINABLE:
+        ledger = resolve_terminable(ledger, verdict)
+        if ledger.state is LifecycleState.TERMINATED:
+            return ledger, shares
+        return ledger, actuate_reset()
+    ledger, delta = step_epoch(
+        ledger,
+        verdict,
+        scenario.penalty_policy,
+        scenario.compensation_policy,
+        scenario.measurement_budget,
+        scenario.measurements_per_epoch,
+    )
+    return ledger, actuate(shares, delta, scenario.actuator)
+
+
 def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
     ledger = ThreatLedger()
     shares = DEFAULT_SHARES
@@ -376,20 +405,7 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
             except SourceExhausted as exc:
                 raise ScenarioError(f"process {spec.process_id!r}: {exc}") from exc
             verdict_name = verdict.value
-            if ledger.state in (LifecycleState.NORMAL, LifecycleState.SUSPICIOUS):
-                ledger, delta = step_epoch(
-                    ledger,
-                    verdict,
-                    scenario.penalty_policy,
-                    scenario.compensation_policy,
-                    scenario.measurement_budget,
-                    scenario.measurements_per_epoch,
-                )
-                shares = actuate(shares, delta, scenario.actuator)
-            else:
-                ledger = resolve_terminable(ledger, verdict)
-                if ledger.state is not LifecycleState.TERMINATED:
-                    shares = actuate_reset(shares, scenario.actuator)
+            ledger, shares = respond(ledger, shares, verdict, scenario)
         terminated = ledger.state is LifecycleState.TERMINATED
         if terminated:
             progress = 0.0

@@ -1,11 +1,12 @@
 """Epoch loop that drives a host adapter from detector verdicts.
 
-Each epoch: fetch the verdict, step the threat ledger, actuate, and push
-the new shares to the adapter only when they changed, so the adapter
-sees exactly one apply call per share-changing epoch and none otherwise.
-A terminable ledger is resolved instead: benign restores the defaults,
-malicious terminates the process. A process that disappears on its own
-is recorded as completed and left alone.
+Each epoch: poll the process, fetch the verdict, and run the simulator's
+``respond`` transition on it. A terminated ledger terminates the
+process; otherwise the new shares go to the adapter only when they
+changed, so the adapter sees exactly one apply call per share-changing
+epoch and none otherwise. A process that disappears on its own, before
+the poll or between the poll and the apply, is recorded as completed
+and left alone.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .actuation import DEFAULT_SHARES, ResourceShares, actuate, actuate_reset
+from .actuation import DEFAULT_SHARES, ResourceShares
 from .detectors import next_verdict
-from .hostadapter import HostAdapter, ProcessHandle
-from .simulation import Scenario
-from .threat import (
-    LifecycleState,
-    ThreatLedger,
-    mark_completed,
-    resolve_terminable,
-    step_epoch,
-)
+from .hostadapter import HostAdapter, ProcessHandle, StaleHandleError
+from .simulation import Scenario, respond
+from .threat import LifecycleState, ThreatLedger, mark_completed
+
+# Not called here: bench/tracing.py wraps these names in this module as well.
+from .actuation import actuate, actuate_reset  # noqa: F401
+from .threat import resolve_terminable, step_epoch  # noqa: F401
 
 __all__ = ["SupervisionReport", "supervise", "SUPERVISION_CSV_HEADER"]
 
@@ -106,24 +105,17 @@ def supervise(
                 logger.info("%s exited on its own at epoch %d", process_id, epoch)
                 continue
             verdict = next_verdict(spec.source, epoch)
-            if state.ledger.state in (LifecycleState.NORMAL, LifecycleState.SUSPICIOUS):
-                state.ledger, delta = step_epoch(
-                    state.ledger,
-                    verdict,
-                    scenario.penalty_policy,
-                    scenario.compensation_policy,
-                    scenario.measurement_budget,
-                    scenario.measurements_per_epoch,
-                )
-                new_shares = actuate(state.shares, delta, scenario.actuator)
+            state.ledger, new_shares = respond(state.ledger, state.shares, verdict, scenario)
+            if state.ledger.state is LifecycleState.TERMINATED:
+                adapter.terminate(state.handle)
+                state.done = True
+                continue
+            try:
                 _apply_if_changed(adapter, state, new_shares)
-            else:
-                state.ledger = resolve_terminable(state.ledger, verdict)
-                if state.ledger.state is LifecycleState.TERMINATED:
-                    adapter.terminate(state.handle)
-                    state.done = True
-                else:
-                    _apply_if_changed(adapter, state, actuate_reset(state.shares, scenario.actuator))
+            except StaleHandleError:
+                state.ledger = mark_completed(state.ledger)
+                state.done = True
+                logger.info("%s exited before its shares applied at epoch %d", process_id, epoch)
         if pace_seconds > 0:
             time.sleep(pace_seconds)
 

@@ -45,8 +45,7 @@ __all__ = [
     "AssessmentPolicy",
     "ThreatLedger",
     "clamp",
-    "assess_penalty",
-    "assess_compensation",
+    "assess",
     "step_epoch",
     "resolve_terminable",
     "mark_completed",
@@ -103,7 +102,7 @@ class AssessmentPolicy:
     * exponential:  x -> (2**epoch)*x + 1, epoch being the current epoch
                     index (numbering starts at 0)
 
-    Results are clamped by the assess functions, not here.
+    Results are clamped by ``assess``, not here.
     """
 
     family: GrowthFamily = GrowthFamily.INCREMENTAL
@@ -153,22 +152,15 @@ def _check_epoch(epoch: int) -> None:
         raise ValueError(f"epoch must be non-negative, got {epoch}")
 
 
-def assess_penalty(policy: AssessmentPolicy, prev_penalty: float, epoch: int) -> float:
-    """Grow a penalty score by one assessment step and clamp the result.
+def assess(policy: AssessmentPolicy, previous: float, epoch: int) -> float:
+    """Grow a penalty or compensation score by one step and clamp it.
 
-    The result never falls below ``prev_penalty``: all growth families
-    are non-decreasing and the previous value was already within bounds.
+    The result never falls below ``previous``: all growth families are
+    non-decreasing and the previous value was already within bounds.
     """
-    _check_score(prev_penalty, "prev_penalty")
+    _check_score(previous, "previous")
     _check_epoch(epoch)
-    return clamp(policy.grow(prev_penalty, epoch))
-
-
-def assess_compensation(policy: AssessmentPolicy, prev_compensation: float, epoch: int) -> float:
-    """Grow a compensation score by one assessment step and clamp the result."""
-    _check_score(prev_compensation, "prev_compensation")
-    _check_epoch(epoch)
-    return clamp(policy.grow(prev_compensation, epoch))
+    return clamp(policy.grow(previous, epoch))
 
 
 @dataclass(frozen=True)
@@ -241,10 +233,10 @@ def step_epoch(
 
     if verdict is Verdict.MALICIOUS:
         state = LifecycleState.SUSPICIOUS
-        penalty = assess_penalty(penalty_policy, penalty, epoch)
+        penalty = assess(penalty_policy, penalty, epoch)
         raw_threat = ledger.threat_index + penalty
     elif state is LifecycleState.SUSPICIOUS:
-        compensation = assess_compensation(compensation_policy, compensation, epoch)
+        compensation = assess(compensation_policy, compensation, epoch)
         raw_threat = ledger.threat_index - compensation
     else:
         raw_threat = ledger.threat_index

@@ -1,0 +1,50 @@
+"""The benchmark tracer can still wrap every layer function it names.
+
+``bench/tracing.py`` replaces functions at the module attributes their
+callers use. If a refactor drops one of those names, installing the
+tracer fails here rather than in the middle of a traced benchmark run.
+"""
+
+from pathlib import Path
+
+import quell.simulation
+import quell.supervisor
+import quell.threat
+from quell.actuation import ActuatorPolicy
+from quell.detectors import TraceSource
+from quell.hostadapter import FakeHostAdapter
+from quell.simulation import ProcessSpec, ProgressModel, Scenario
+from quell.supervisor import supervise
+from quell.threat import AssessmentPolicy, Verdict
+
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def test_tracer_installs_records_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        source = TraceSource((Verdict.MALICIOUS,) * 4, start_epoch=1)
+        scenario = Scenario(
+            processes=(ProcessSpec("attack", ProgressModel(base_rate=1.0), source),),
+            measurement_budget=3,
+            penalty_policy=AssessmentPolicy.incremental(),
+            compensation_policy=AssessmentPolicy.incremental(),
+            actuator=ActuatorPolicy(),
+            epochs=5,
+        )
+        supervise(scenario, FakeHostAdapter())
+        tracer.end_operation()
+    finally:
+        tracer.uninstall()
+    calls = tracer.stats.calls
+    assert calls["threat.step_epoch"] == 3
+    assert calls["threat.resolve_terminable"] == 1
+    assert tracer.stats.events["terminated"] == 1
+    assert calls["hostadapter.terminate"] == 1
+    assert not tracer.installed
+    assert quell.simulation.step_epoch is quell.threat.step_epoch
+    assert quell.supervisor.supervise is supervise

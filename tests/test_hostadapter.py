@@ -10,7 +10,6 @@ from quell.actuation import ResourceShares
 from quell.hostadapter import (
     Ack,
     CALLS_CSV_HEADER,
-    FakeClock,
     FakeHostAdapter,
     LinuxSignalAdapter,
     ProcessHandle,
@@ -132,57 +131,6 @@ class TestTerminate:
         assert [c.call for c in adapter.calls] == ["attach"]
 
 
-class TestPauseResume:
-    def test_pause_then_resume(self):
-        adapter = FakeHostAdapter()
-        handle = adapter.spawn("worker")
-        assert adapter.pause(handle).noop is False
-        assert adapter.resume(handle).noop is False
-
-    def test_double_pause_is_a_noop(self):
-        adapter = FakeHostAdapter()
-        handle = adapter.spawn("worker")
-        adapter.pause(handle)
-        ack = adapter.pause(handle)
-        assert ack.noop is True
-        assert adapter.calls[-1].redundant is True
-
-    def test_resume_when_running_is_a_noop(self):
-        adapter = FakeHostAdapter()
-        handle = adapter.spawn("worker")
-        assert adapter.resume(handle).noop is True
-
-
-class TestDutyCycleAccounting:
-    def test_ten_percent_duty_cycle(self):
-        clock = FakeClock()
-        adapter = FakeHostAdapter(clock=clock)
-        handle = adapter.spawn("worker")
-        for _ in range(5):
-            clock.advance(10.0)
-            adapter.pause(handle)
-            clock.advance(90.0)
-            adapter.resume(handle)
-        assert adapter.effective_cpu_share(handle) == pytest.approx(0.1, abs=1e-12)
-
-    def test_never_paused_runs_at_full_share(self):
-        clock = FakeClock()
-        adapter = FakeHostAdapter(clock=clock)
-        handle = adapter.spawn("worker")
-        clock.advance(250.0)
-        assert adapter.effective_cpu_share(handle) == 1.0
-
-    def test_no_elapsed_time_raises(self):
-        adapter = FakeHostAdapter()
-        handle = adapter.spawn("worker")
-        with pytest.raises(ValueError):
-            adapter.effective_cpu_share(handle)
-
-    def test_clock_rejects_rewinds(self):
-        with pytest.raises(ValueError):
-            FakeClock().advance(-1.0)
-
-
 class TestCallExport:
     def test_csv_header_and_rows(self, tmp_path):
         adapter = FakeHostAdapter()
@@ -222,8 +170,6 @@ class TestLinuxSignalAdapter:
         try:
             handle = adapter.attach(sleeper.pid)
             assert adapter.poll(handle) is True
-            assert adapter.pause(handle).call == "pause"
-            assert adapter.resume(handle).call == "resume"
             ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
             assert ack.applied == ("cpu",)
             assert ack.unsupported == ("memory", "network", "filesystem")
@@ -249,5 +195,5 @@ class TestLinuxSignalAdapter:
         sleeper.kill()
         sleeper.wait()
         with pytest.raises(StaleHandleError):
-            adapter.pause(handle)
+            adapter.apply_shares(handle, ResourceShares(cpu=0.5))
         assert adapter.terminate(handle).noop is True

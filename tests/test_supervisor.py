@@ -1,14 +1,15 @@
 """Supervision loop: adapter call sequences and final reports."""
 
 import logging
+import random
 import threading
 
 import pytest
 
-from quell.actuation import ActuatorPolicy, ResourceShares
-from quell.detectors import TraceSource
-from quell.hostadapter import FakeHostAdapter
-from quell.simulation import ProcessSpec, ProgressModel, Proportional, Scenario
+from quell.actuation import DEFAULT_SHARES, RESOURCES, ActuationMode, ActuatorPolicy, ResourceShares
+from quell.detectors import GroundTruth, StochasticSource, ThresholdSource, TraceSource
+from quell.hostadapter import FakeHostAdapter, format_shares
+from quell.simulation import ProcessSpec, ProgressModel, Proportional, Scenario, run_scenario
 from quell.supervisor import SUPERVISION_CSV_HEADER, SupervisionReport, supervise
 from quell.threat import AssessmentPolicy, Verdict
 
@@ -153,6 +154,133 @@ class TestLifecycleEdges:
         scenario = make_scenario([cpu_spec("flash", [M, M])], epochs=10, budget=1)
         supervise(scenario, adapter)
         assert [c.call for c in adapter.calls] == ["attach", "apply_shares", "terminate"]
+
+    def test_exit_between_poll_and_apply_is_completed(self):
+        class ExitsAfterSecondPoll(FakeHostAdapter):
+            """The victim exits just after its second poll reports it alive."""
+
+            polls = 0
+
+            def poll(self, handle):
+                alive = super().poll(handle)
+                if handle.ident == "victim":
+                    self.polls += 1
+                    if self.polls == 2:
+                        self.script_natural_exit(handle)
+                return alive
+
+        adapter = ExitsAfterSecondPoll()
+        scenario = make_scenario(
+            [cpu_spec("bystander", [M] * 5), cpu_spec("victim", [M] * 5)], epochs=6, budget=10
+        )
+        bystander, victim = supervise(scenario, adapter)
+        assert (victim.final_state, victim.exit_reason, victim.epochs_run) == (
+            "terminated", "completed", 2,
+        )
+        assert f"{victim.shares.cpu:.6f}" == "0.900000"
+        assert [c.call for c in adapter.calls if c.handle == "victim"] == ["attach", "apply_shares"]
+        assert (bystander.final_state, bystander.epochs_run) == ("suspicious", 5)
+        assert [cpu_of(c.args) for c in adapter.calls if c.handle == "bystander"][1:] == [
+            "0.900000", "0.700000", "0.400000", "0.010000",
+        ]
+
+
+class EpochStampedHost(FakeHostAdapter):
+    """Fake host that notes the epoch of every apply and terminate call.
+
+    The supervisor polls each live process once per epoch from epoch 1,
+    so a process's poll count is the epoch it is in.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.epoch = {}
+        self.epoch_of_call = {}
+
+    def poll(self, handle):
+        self.epoch[handle.ident] = self.epoch.get(handle.ident, 0) + 1
+        return super().poll(handle)
+
+    def apply_shares(self, handle, shares):
+        self.epoch_of_call[len(self.calls)] = self.epoch[handle.ident]
+        return super().apply_shares(handle, shares)
+
+    def terminate(self, handle):
+        self.epoch_of_call[len(self.calls)] = self.epoch[handle.ident]
+        return super().terminate(handle)
+
+
+def random_scenario(rng):
+    epochs = rng.randint(2, 40)
+
+    def source():
+        kind = rng.randrange(3)
+        if kind == 0:
+            malice = rng.random()
+            verdicts = [M if rng.random() < malice else B for _ in range(epochs - 1)]
+            return TraceSource(tuple(verdicts), start_epoch=1)
+        if kind == 1:
+            truth = rng.choice(list(GroundTruth))
+            return StochasticSource(rng.random(), 0.3 * rng.random(), truth, rng.getrandbits(64))
+        values = tuple(rng.random() for _ in range(epochs))
+        return ThresholdSource(rng.randint(1, 4), rng.uniform(0.3, 0.7), values)
+
+    def policy():
+        return rng.choice(
+            [INC, AssessmentPolicy.linear(rng.uniform(1.0, 2.0), rng.uniform(0.0, 2.0)),
+             AssessmentPolicy.exponential()]
+        )
+
+    model = ProgressModel(base_rate=10.0, response={"cpu": Proportional()})
+    specs = [ProcessSpec(f"p{i}", model, source()) for i in range(rng.randint(1, 5))]
+    actuator = ActuatorPolicy(
+        throttle_step=rng.uniform(0.05, 0.5),
+        mode=rng.choice(list(ActuationMode)),
+        targets=tuple(rng.sample(RESOURCES, rng.randint(1, len(RESOURCES)))),
+    )
+    return Scenario(
+        processes=tuple(specs),
+        measurement_budget=rng.randint(1, 30),
+        penalty_policy=policy(),
+        compensation_policy=policy(),
+        actuator=actuator,
+        epochs=epochs,
+        measurements_per_epoch=rng.randint(1, 3),
+    )
+
+
+class TestSimulatorDifferential:
+    def test_supervisor_makes_the_calls_the_simulator_predicts(self):
+        outcomes = set()
+        for seed in range(40):
+            scenario = random_scenario(random.Random(seed))
+            log = run_scenario(scenario)
+            adapter = EpochStampedHost()
+            reports = {r.process_id: r for r in supervise(scenario, adapter)}
+            for process_id in log.process_ids():
+                records = log.for_process(process_id)
+                expected = []
+                shares = DEFAULT_SHARES
+                for record in records:
+                    now = ResourceShares(record.cpu, record.memory, record.network, record.filesystem)
+                    if now != shares:
+                        expected.append((record.epoch, "apply_shares", format_shares(now)))
+                    shares = now
+                last = records[-1]
+                if last.state == "terminated":
+                    expected.append((last.epoch, "terminate", ""))
+                calls = [
+                    (adapter.epoch_of_call[c.seq], c.call, c.args)
+                    for c in adapter.calls
+                    if c.handle == process_id and c.call != "attach"
+                ]
+                where = f"seed {seed}, {process_id}"
+                assert calls == expected, where
+                report = reports[process_id]
+                assert (report.final_state, report.epochs_run) == (last.state, last.epoch), where
+                assert report.shares == shares, where
+                outcomes.add(last.state)
+        assert {"terminated", "terminable", "suspicious", "normal"} <= outcomes
 
 
 class TestReportShape:

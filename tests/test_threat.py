@@ -13,8 +13,7 @@ from quell.threat import (
     LifecycleState,
     ThreatLedger,
     Verdict,
-    assess_compensation,
-    assess_penalty,
+    assess,
     clamp,
     mark_completed,
     resolve_terminable,
@@ -87,28 +86,28 @@ class TestAssessmentPolicy:
 
 class TestAssess:
     def test_penalty_from_zero(self):
-        assert assess_penalty(INC, 0.0, 1) == 1.0
+        assert assess(INC, 0.0, 1) == 1.0
 
     def test_penalty_clamps_at_ceiling(self):
-        assert assess_penalty(INC, 100.0, 1) == 100.0
+        assert assess(INC, 100.0, 1) == 100.0
 
     def test_compensation_from_zero(self):
-        assert assess_compensation(INC, 0.0, 1) == 1.0
+        assert assess(INC, 0.0, 1) == 1.0
 
     def test_compensation_clamps(self):
-        assert assess_compensation(INC, 99.5, 1) == 100.0
+        assert assess(INC, 99.5, 1) == 100.0
 
     def test_linear_example(self):
-        assert assess_compensation(AssessmentPolicy.linear(2.0, 1.0), 3.0, 1) == 7.0
+        assert assess(AssessmentPolicy.linear(2.0, 1.0), 3.0, 1) == 7.0
 
     @pytest.mark.parametrize("prev", [-1.0, 101.0, math.nan])
     def test_out_of_range_previous_rejected(self, prev):
         with pytest.raises(ValueError):
-            assess_penalty(INC, prev, 1)
+            assess(INC, prev, 1)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            assess_penalty(INC, 0.0, -1)
+            assess(INC, 0.0, -1)
 
     @given(
         prev=st.floats(min_value=0.0, max_value=100.0),
@@ -118,7 +117,7 @@ class TestAssess:
         ),
     )
     def test_growth_never_shrinks(self, prev, epoch, policy):
-        grown = assess_penalty(policy, prev, epoch)
+        grown = assess(policy, prev, epoch)
         assert prev <= grown <= SCORE_CEILING
 
 
