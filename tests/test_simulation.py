@@ -1,10 +1,17 @@
 """Simulation engine: response curves, scenario runs, and slowdown math."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from quell.actuation import ActuationMode, ActuatorPolicy, ResourceShares
+from quell.actuation import (
+    DEFAULT_SHARES,
+    ActuationMode,
+    ActuatorPolicy,
+    ResourceShares,
+    actuate,
+)
 from quell.detectors import StochasticSource, GroundTruth, TraceSource
 from quell.simulation import (
     Cliff,
@@ -20,11 +27,19 @@ from quell.simulation import (
     ScenarioLog,
     SlowdownReport,
     progress_rate,
+    respond,
     run_scenario,
     slowdown,
     slowdown_reports,
 )
-from quell.threat import AssessmentPolicy, Verdict
+from quell.threat import (
+    EXIT_BY_DETECTOR,
+    AssessmentPolicy,
+    LifecycleState,
+    ThreatLedger,
+    Verdict,
+    step_epoch,
+)
 
 from reference import fold_sum, reference_progress, reference_slowdown
 
@@ -545,3 +560,55 @@ class TestEpochRecord:
             "epoch", "process_id", "verdict", "penalty", "compensation", "threat_index", "state",
             "cpu", "memory", "network", "filesystem", "progress", "cumulative",
         )
+
+
+TERMINABLE = ThreatLedger(
+    penalty=3.0, threat_index=3.0, state=LifecycleState.TERMINABLE, epoch=3, measurements=3
+)
+
+
+class TestRespond:
+    def test_malicious_at_terminable_terminates_and_keeps_shares(self):
+        shares = ResourceShares(cpu=0.7)
+        ledger, out = respond(TERMINABLE, shares, M, cpu_scenario([M], 5, 3))
+        assert ledger.state is LifecycleState.TERMINATED
+        assert ledger.exit_reason == EXIT_BY_DETECTOR
+        assert ledger.epoch == 4
+        assert out is shares
+
+    def test_benign_at_terminable_restores_defaults(self):
+        ledger, out = respond(TERMINABLE, ResourceShares(cpu=0.7), B, cpu_scenario([M], 5, 3))
+        assert ledger.state is LifecycleState.TERMINABLE
+        assert (ledger.threat_index, ledger.measurements, ledger.epoch) == (3.0, 3, 4)
+        assert out is DEFAULT_SHARES
+
+    @pytest.mark.parametrize("mode", list(ActuationMode))
+    def test_live_ledger_is_stepped_then_actuated(self, mode):
+        rng = random.Random(f"respond-{mode.value}")
+        scenario = replace(
+            cpu_scenario([M], 40, 30), actuator=ActuatorPolicy(throttle_step=0.05, mode=mode)
+        )
+        ledger, shares = ThreatLedger(), DEFAULT_SHARES
+        for _ in range(29):
+            verdict = rng.choice((M, B))
+            expected_ledger, delta = step_epoch(ledger, verdict, INC, INC, 30, 1)
+            expected_shares = actuate(shares, delta, scenario.actuator)
+            ledger, shares = respond(ledger, shares, verdict, scenario)
+            assert ledger == expected_ledger
+            assert shares == expected_shares
+        assert ledger.state is not LifecycleState.TERMINABLE
+
+    def test_last_measurement_makes_the_ledger_terminable(self):
+        scenario = cpu_scenario([M], 5, 2)
+        ledger, shares = respond(ThreatLedger(), DEFAULT_SHARES, M, scenario)
+        assert ledger.state is LifecycleState.SUSPICIOUS
+        ledger, shares = respond(ledger, shares, M, scenario)
+        assert ledger.state is LifecycleState.TERMINABLE
+        assert ledger.measurements == 2
+        assert shares.cpu < 1.0
+
+    def test_terminated_ledger_is_rejected(self):
+        scenario = cpu_scenario([M], 5, 3)
+        ledger, shares = respond(TERMINABLE, DEFAULT_SHARES, M, scenario)
+        with pytest.raises(ValueError, match="cannot step"):
+            respond(ledger, shares, B, scenario)
