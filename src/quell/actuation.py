@@ -18,6 +18,11 @@ not invert: throttle-then-restore lands below the starting point.
 maps onto a proportional-share scheduler: a process's slice of every
 scheduling period is its weight over the sum of weights, so scaling the
 weight scales the slice.
+
+Values are validated when they are constructed: shares reject anything
+outside (0, 1] (NaN and infinities included), and a policy checks its
+step, targets and floors once. ``actuate`` builds only from valid
+shares and policies and re-checks just the floor condition it relies on.
 """
 
 from __future__ import annotations
@@ -53,10 +58,18 @@ class ResourceShares:
     filesystem: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in RESOURCES:
-            value = getattr(self, name)
-            if not math.isfinite(value) or not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
+        # One comparison on the common, valid path; it is false for NaN
+        # and both infinities. The loop runs only to name what failed.
+        if not (
+            0.0 < self.cpu <= 1.0
+            and 0.0 < self.memory <= 1.0
+            and 0.0 < self.network <= 1.0
+            and 0.0 < self.filesystem <= 1.0
+        ):
+            for name in RESOURCES:
+                value = getattr(self, name)
+                if not 0.0 < value <= 1.0:
+                    raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
 
     def get(self, resource: str) -> float:
         if resource not in RESOURCES:
@@ -108,6 +121,13 @@ class ActuatorPolicy:
             floor = getattr(self, f"floor_{name}")
             if not math.isfinite(floor) or not 0.0 < floor < 1.0:
                 raise ValueError(f"floor_{name} must lie in (0, 1), got {floor!r}")
+        # (index into RESOURCES, floor) per target, for ``actuate``. Not a
+        # field, so equality, hashing and repr ignore it.
+        object.__setattr__(
+            self,
+            "_target_floors",
+            tuple((RESOURCES.index(r), getattr(self, f"floor_{r}")) for r in self.targets),
+        )
 
     def floor(self, resource: str) -> float:
         if resource not in RESOURCES:
@@ -141,16 +161,15 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
         raise ValueError(f"threat delta must be finite, got {threat_delta!r}")
     if threat_delta == 0.0:
         return shares
-    values = shares.as_dict()
-    for resource in policy.targets:
-        current = values[resource]
-        floor = policy.floor(resource)
+    values = [shares.cpu, shares.memory, shares.network, shares.filesystem]
+    for index, floor in policy._target_floors:
+        current = values[index]
         if current < floor:
             raise ValueError(
-                f"{resource} share {current!r} is below the policy floor {floor!r}"
+                f"{RESOURCES[index]} share {current!r} is below the policy floor {floor!r}"
             )
-        values[resource] = _move(current, threat_delta, policy, floor)
-    return ResourceShares(**values)
+        values[index] = _move(current, threat_delta, policy, floor)
+    return ResourceShares(*values)
 
 
 def actuate_reset() -> ResourceShares:

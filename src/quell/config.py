@@ -209,15 +209,21 @@ def _detector_source(
     raise ConfigError(f"[{section_name}] kind must be trace, stochastic, or threshold, got {kind!r}")
 
 
-def _check_trace_coverage(spec: ProcessSpec, epochs: int) -> None:
+def _check_coverage(spec: ProcessSpec, epochs: int) -> None:
+    """Reject a file-backed source that ends before the run does."""
     source = spec.source
     if isinstance(source, TraceSource):
-        if source.start_epoch > 1 or source.end_epoch < epochs:
-            raise ScenarioError(
-                f"trace for process {spec.process_id!r} covers epochs "
-                f"[{source.start_epoch}, {source.end_epoch}) but the scenario "
-                f"consumes epochs [1, {epochs})"
-            )
+        kind, end = "trace", source.end_epoch
+    elif isinstance(source, ThresholdSource):
+        kind, end = "measurement stream", source.start_epoch + len(source.values)
+    else:
+        return
+    if source.start_epoch > 1 or end < epochs:
+        raise ScenarioError(
+            f"{kind} for process {spec.process_id!r} covers epochs "
+            f"[{source.start_epoch}, {end}) but the scenario "
+            f"consumes epochs [1, {epochs})"
+        )
 
 
 def load_scenario(
@@ -230,8 +236,9 @@ def load_scenario(
 
     ``seed_override`` replaces the [scenario] seed before detector seeds
     are derived. ``trace_override`` replaces every process's verdict
-    source with rows from one trace CSV (replay mode); coverage for the
-    full epoch range is checked up front.
+    source with rows from one trace CSV (replay mode). Every trace and
+    measurement stream must cover the full epoch range; that is checked
+    up front, so a short file fails here and not halfway through a run.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -329,7 +336,6 @@ def load_scenario(
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    if override_traces is not None:
-        for spec in scenario.processes:
-            _check_trace_coverage(spec, scenario.epochs)
+    for spec in scenario.processes:
+        _check_coverage(spec, scenario.epochs)
     return scenario

@@ -14,8 +14,9 @@ applies, so idempotence is observable.
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
 duty-cycle thread that stops (SIGSTOP) and continues (SIGCONT) the
-process over a fixed period. Memory, network, and filesystem limits are
-reported unsupported per-resource; supported resources still apply.
+process over a fixed period. A zombie (exited but not yet reaped) counts
+as gone. Memory, network, and filesystem limits are reported unsupported
+per-resource; supported resources still apply.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
 ]
 
 CALLS_CSV_HEADER = ("seq", "handle", "call", "args")
-
-_SHORT = {"cpu": "cpu", "memory": "mem", "network": "net", "filesystem": "fs"}
 
 
 class StaleHandleError(Exception):
@@ -87,7 +86,10 @@ class HostAdapter(Protocol):
 
 def format_shares(shares: ResourceShares) -> str:
     """Deterministic single-field rendering used in call logs."""
-    return ";".join(f"{_SHORT[name]}={shares.get(name):.6f}" for name in RESOURCES)
+    return (
+        f"cpu={shares.cpu:.6f};mem={shares.memory:.6f};"
+        f"net={shares.network:.6f};fs={shares.filesystem:.6f}"
+    )
 
 
 @dataclass
@@ -122,6 +124,7 @@ class FakeHostAdapter:
         if unknown:
             raise ValueError(f"unknown resources: {unknown}")
         self.unsupported = tuple(r for r in RESOURCES if r in set(unsupported))
+        self._applied = tuple(r for r in RESOURCES if r not in self.unsupported)
         self.calls: list[CallRecord] = []
         self._processes: dict[str, _FakeProcess] = {}
 
@@ -152,13 +155,16 @@ class FakeHostAdapter:
         self._log(handle.ident, "apply_shares", format_shares(shares), redundant=redundant)
         if redundant:
             return Ack(call="apply_shares", noop=True, applied=(), unsupported=self.unsupported)
-        applied = tuple(r for r in RESOURCES if r not in self.unsupported)
-        merged = {
-            name: (shares.get(name) if name in applied else proc.shares.get(name))
-            for name in RESOURCES
-        }
-        proc.shares = ResourceShares(**merged)
-        return Ack(call="apply_shares", applied=applied, unsupported=self.unsupported)
+        if self.unsupported:
+            merged = {
+                name: (shares.get(name) if name in self._applied else proc.shares.get(name))
+                for name in RESOURCES
+            }
+            proc.shares = ResourceShares(**merged)
+        else:
+            # Already a valid shares value: keep it rather than rebuild it.
+            proc.shares = shares
+        return Ack(call="apply_shares", applied=self._applied, unsupported=self.unsupported)
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         proc = self._lookup(handle)
@@ -306,10 +312,25 @@ class LinuxSignalAdapter:
 
     @staticmethod
     def _pid_exists(pid: int) -> bool:
+        """Whether ``pid`` is a process that can still run.
+
+        ``kill(pid, 0)`` succeeds for a zombie (exited, not yet reaped),
+        so the state field of ``/proc/<pid>/stat`` decides: ``Z`` (and
+        ``X``, dead) count as gone. Without a readable ``/proc`` entry
+        the ``kill`` answer stands.
+        """
         try:
             os.kill(pid, 0)
         except ProcessLookupError:
             return False
         except PermissionError:
+            pass
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as stat:
+                fields = stat.read()
+        except OSError:
             return True
-        return True
+        # The command name in parentheses may hold spaces and ')', so the
+        # state is the first field after the last ')'.
+        after_name = fields.rpartition(b")")[2].split()
+        return not after_name or after_name[0] not in (b"Z", b"X")

@@ -29,12 +29,18 @@ through ``mark_completed`` with a distinct exit reason.
 
 The ledger is a frozen value type. Stepping returns a new ledger, so
 values can be shared across threads or processes without locks.
+
+Values are validated when they are constructed: a ledger rejects any
+score outside [0, 100] (NaN and infinities included) and any negative
+count. The steps build only from valid ledgers and bounded policies, so
+they do not re-check what a ledger already guarantees; ``assess`` is
+the public entry for scores from elsewhere and keeps its checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -143,7 +149,8 @@ class AssessmentPolicy:
 
 
 def _check_score(value: float, name: str) -> None:
-    if not math.isfinite(value) or not 0.0 <= value <= SCORE_CEILING:
+    # The range comparison is false for NaN and both infinities.
+    if not 0.0 <= value <= SCORE_CEILING:
         raise ValueError(f"{name} must lie in [0, {SCORE_CEILING:g}], got {value!r}")
 
 
@@ -181,10 +188,18 @@ class ThreatLedger:
     exit_reason: str | None = None
 
     def __post_init__(self) -> None:
-        _check_score(self.penalty, "penalty")
-        _check_score(self.compensation, "compensation")
-        _check_score(self.threat_index, "threat_index")
-        if self.epoch < 0 or self.measurements < 0:
+        # One comparison on the common, valid path; the per-field checks
+        # run only to name what failed.
+        if not (
+            0.0 <= self.penalty <= SCORE_CEILING
+            and 0.0 <= self.compensation <= SCORE_CEILING
+            and 0.0 <= self.threat_index <= SCORE_CEILING
+            and self.epoch >= 0
+            and self.measurements >= 0
+        ):
+            _check_score(self.penalty, "penalty")
+            _check_score(self.compensation, "compensation")
+            _check_score(self.threat_index, "threat_index")
             raise ValueError("epoch and measurements must be non-negative")
 
 
@@ -214,7 +229,9 @@ def step_epoch(
       terminable state regardless of the verdict.
 
     Penalty and compensation are never reset by recovery; only clamping
-    bounds them.
+    bounds them. Scores grow through ``clamp`` rather than ``assess``:
+    they come from a valid ledger, so ``assess``'s checks would repeat
+    the ledger's own.
     """
     if ledger.state not in (LifecycleState.NORMAL, LifecycleState.SUSPICIOUS):
         raise ValueError(f"cannot step a ledger in state {ledger.state.value!r}")
@@ -233,10 +250,10 @@ def step_epoch(
 
     if verdict is Verdict.MALICIOUS:
         state = LifecycleState.SUSPICIOUS
-        penalty = assess(penalty_policy, penalty, epoch)
+        penalty = clamp(penalty_policy.grow(penalty, epoch))
         raw_threat = ledger.threat_index + penalty
     elif state is LifecycleState.SUSPICIOUS:
-        compensation = assess(compensation_policy, compensation, epoch)
+        compensation = clamp(compensation_policy.grow(compensation, epoch))
         raw_threat = ledger.threat_index - compensation
     else:
         raw_threat = ledger.threat_index
@@ -247,14 +264,7 @@ def step_epoch(
     if measurements >= measurement_budget:
         state = LifecycleState.TERMINABLE
 
-    stepped = ThreatLedger(
-        penalty=penalty,
-        compensation=compensation,
-        threat_index=threat_index,
-        state=state,
-        epoch=epoch,
-        measurements=measurements,
-    )
+    stepped = ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements)
     return stepped, threat_index - ledger.threat_index
 
 
@@ -267,12 +277,19 @@ def resolve_terminable(ledger: ThreatLedger, verdict: Verdict) -> ThreatLedger:
     """
     if ledger.state is not LifecycleState.TERMINABLE:
         raise ValueError(f"cannot resolve a ledger in state {ledger.state.value!r}")
-    epoch = ledger.epoch + 1
     if verdict is Verdict.MALICIOUS:
-        return replace(
-            ledger, epoch=epoch, state=LifecycleState.TERMINATED, exit_reason=EXIT_BY_DETECTOR
-        )
-    return replace(ledger, epoch=epoch)
+        state, exit_reason = LifecycleState.TERMINATED, EXIT_BY_DETECTOR
+    else:
+        state, exit_reason = ledger.state, ledger.exit_reason
+    return ThreatLedger(
+        ledger.penalty,
+        ledger.compensation,
+        ledger.threat_index,
+        state,
+        ledger.epoch + 1,
+        ledger.measurements,
+        exit_reason,
+    )
 
 
 def mark_completed(ledger: ThreatLedger) -> ThreatLedger:
@@ -282,4 +299,12 @@ def mark_completed(ledger: ThreatLedger) -> ThreatLedger:
     """
     if ledger.state is LifecycleState.TERMINATED:
         raise ValueError("terminated is absorbing")
-    return replace(ledger, state=LifecycleState.TERMINATED, exit_reason=EXIT_COMPLETED)
+    return ThreatLedger(
+        ledger.penalty,
+        ledger.compensation,
+        ledger.threat_index,
+        LifecycleState.TERMINATED,
+        ledger.epoch,
+        ledger.measurements,
+        EXIT_COMPLETED,
+    )

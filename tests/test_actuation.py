@@ -34,6 +34,12 @@ class TestResourceShares:
         with pytest.raises(ValueError):
             ResourceShares(network=value)
 
+    @pytest.mark.parametrize("resource", RESOURCES)
+    @pytest.mark.parametrize("value", [0.0, 1.1, math.nan, math.inf, -math.inf])
+    def test_each_share_names_itself(self, resource, value):
+        with pytest.raises(ValueError, match=rf"^{resource} share must lie in \(0, 1\], got "):
+            ResourceShares(**{resource: value})
+
     def test_get_and_unknown_resource(self):
         shares = ResourceShares(cpu=0.25)
         assert shares.get("cpu") == 0.25
@@ -98,6 +104,25 @@ class TestActuate:
         policy = ActuatorPolicy(floor_cpu=0.5)
         with pytest.raises(ValueError):
             actuate(ResourceShares(cpu=0.25), 1.0, policy)
+
+    @pytest.mark.parametrize("resource", RESOURCES)
+    def test_below_floor_names_the_resource(self, resource):
+        policy = ActuatorPolicy(targets=(resource,), **{f"floor_{resource}": 0.95})
+        message = rf"^{resource} share 0.5 is below the policy floor 0.95$"
+        with pytest.raises(ValueError, match=message):
+            actuate(ResourceShares(**{resource: 0.5}), 1.0, policy)
+
+    def test_each_target_moves_to_its_own_floor(self):
+        policy = ActuatorPolicy(targets=RESOURCES, floor_network=0.3, floor_filesystem=0.6)
+        moved = actuate(DEFAULT_SHARES, 100.0, policy)
+        assert [moved.get(r) for r in RESOURCES] == [policy.floor(r) for r in RESOURCES]
+
+    def test_precomputed_floors_leave_equality_alone(self):
+        forward = ActuatorPolicy(targets=RESOURCES, floor_network=0.3)
+        backward = ActuatorPolicy(targets=tuple(reversed(RESOURCES)), floor_network=0.3)
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert "_target_floors" not in repr(forward)
 
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError):

@@ -315,6 +315,18 @@ class TestArgumentErrors:
             )
 
 
+class TestCoverageUpFront:
+    @pytest.mark.parametrize("command", [["simulate"], ["supervise", "--fake-adapter"]])
+    def test_short_trace_fails_before_the_run(self, tmp_path, short_trace_ini, capsys, command):
+        out = tmp_path / "out"
+        name, *flags = command
+        code = main([name, "--scenario", str(short_trace_ini), "--out", str(out), *flags])
+        assert code == EXIT_RUNTIME
+        assert "covers epochs" in capsys.readouterr().err
+        # Rejected while loading: the output directory was never made.
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, configs_dir):
         executable = shutil.which("quell")

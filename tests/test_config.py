@@ -254,6 +254,29 @@ stream = stream.csv
         assert source.values == (1.0, 2.0, 9.0, 9.0, 1.0)
 
 
+class TestCoverage:
+    """Traces and measurement streams must cover every epoch the run consumes."""
+
+    def test_short_detector_trace_is_rejected(self, short_trace_ini):
+        with pytest.raises(ScenarioError, match=r"trace .* covers epochs \[1, 8\)"):
+            load_scenario(short_trace_ini)
+
+    @pytest.mark.parametrize("values, ok", [(4, False), (5, True)])
+    def test_threshold_stream_needs_a_value_per_epoch(self, tmp_path, values, ok):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("epoch,value\n" + "".join(f"{e},0.5\n" for e in range(values)))
+        ini = write_ini(
+            tmp_path,
+            MINIMAL.split("[detector.flagger]")[0]
+            + "[detector.flagger]\nkind = threshold\nwindow = 2\ncutoff = 0.7\nstream = stream.csv\n",
+        )
+        if ok:
+            assert len(load_scenario(ini).processes[0].source.values) == 5
+        else:
+            with pytest.raises(ScenarioError, match=r"stream .* covers epochs \[0, 4\)"):
+                load_scenario(ini)
+
+
 class TestRejections:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

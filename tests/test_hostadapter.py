@@ -2,11 +2,15 @@
 
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quell.actuation import ResourceShares
+from quell.actuation import RESOURCES, ResourceShares
 from quell.hostadapter import (
     Ack,
     CALLS_CSV_HEADER,
@@ -29,6 +33,13 @@ class TestFormatShares:
         assert format_shares(shares) == (
             "cpu=0.400000;mem=0.936000;net=0.000001;fs=0.250000"
         )
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=4, max_size=4))
+    def test_matches_the_joined_per_resource_form(self, values):
+        shares = ResourceShares(*values)
+        short = {"cpu": "cpu", "memory": "mem", "network": "net", "filesystem": "fs"}
+        joined = ";".join(f"{short[name]}={shares.get(name):.6f}" for name in RESOURCES)
+        assert format_shares(shares) == joined
 
 
 class TestSpawnAndPoll:
@@ -155,6 +166,15 @@ needs_linux = pytest.mark.skipif(
 )
 
 
+def _proc_state(pid: int) -> str | None:
+    """State letter from /proc/<pid>/stat, or None when it cannot be read."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return fields.rpartition(")")[2].split()[0]
+
+
 @needs_linux
 class TestLinuxSignalAdapter:
     @pytest.fixture
@@ -197,3 +217,26 @@ class TestLinuxSignalAdapter:
         with pytest.raises(StaleHandleError):
             adapter.apply_shares(handle, ResourceShares(cpu=0.5))
         assert adapter.terminate(handle).noop is True
+
+    def test_zombie_is_gone(self):
+        child = subprocess.Popen(["sleep", "0"])
+        try:
+            if _proc_state(child.pid) is None:
+                pytest.skip("/proc/<pid>/stat is not readable")
+            deadline = time.monotonic() + 10.0
+            while _proc_state(child.pid) != "Z":
+                assert time.monotonic() < deadline, "the child never showed state Z"
+                time.sleep(0.01)
+            adapter = LinuxSignalAdapter()
+            handle = ProcessHandle(ident=str(child.pid))
+            threads = threading.active_count()
+            assert adapter.poll(handle) is False
+            with pytest.raises(StaleHandleError):
+                adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+            with pytest.raises(StaleHandleError):
+                adapter.attach(child.pid)
+            assert adapter._cyclers == {}
+            assert threading.active_count() == threads
+            assert _proc_state(child.pid) == "Z"
+        finally:
+            child.wait(timeout=5)

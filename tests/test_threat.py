@@ -1,6 +1,7 @@
 """Threat ledger: score arithmetic, clamping, and the lifecycle machine."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -197,6 +198,25 @@ class TestResolveTerminable:
         assert kept.epoch == self.fill().epoch + 1
         assert kept.measurements == self.fill().measurements
 
+    @pytest.mark.parametrize("exit_reason", [None, "earlier"])
+    def test_every_field_but_epoch_state_and_exit_is_kept(self, exit_reason):
+        ledger = ThreatLedger(
+            penalty=7.5,
+            compensation=2.25,
+            threat_index=5.25,
+            state=LifecycleState.TERMINABLE,
+            epoch=9,
+            measurements=12,
+            exit_reason=exit_reason,
+        )
+        assert resolve_terminable(ledger, Verdict.BENIGN) == replace(ledger, epoch=10)
+        assert resolve_terminable(ledger, Verdict.MALICIOUS) == replace(
+            ledger, epoch=10, state=LifecycleState.TERMINATED, exit_reason="detector"
+        )
+        assert mark_completed(ledger) == replace(
+            ledger, state=LifecycleState.TERMINATED, exit_reason="completed"
+        )
+
     def test_wrong_state_rejected(self):
         with pytest.raises(ValueError):
             resolve_terminable(ThreatLedger(), Verdict.MALICIOUS)
@@ -234,6 +254,28 @@ class TestLedgerValidation:
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(ValueError):
             ThreatLedger(**kwargs)
+
+    @pytest.mark.parametrize("field", ["penalty", "compensation", "threat_index"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1, 100.1])
+    def test_each_score_names_itself(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 100\], got "):
+            ThreatLedger(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epoch", "measurements"])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ValueError, match="^epoch and measurements must be non-negative$"):
+            ThreatLedger(**{field: -1})
+
+    def test_first_bad_field_is_named(self):
+        with pytest.raises(ValueError, match="^compensation "):
+            ThreatLedger(compensation=math.inf, threat_index=-1.0, epoch=-1)
+        with pytest.raises(ValueError, match="^threat_index "):
+            ThreatLedger(threat_index=-1.0, measurements=-1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_assess_rejects_infinite_previous(self, value):
+        with pytest.raises(ValueError, match="^previous must lie in"):
+            assess(INC, value, 1)
 
 
 # State transitions step_epoch and resolve_terminable may produce.
