@@ -59,7 +59,8 @@ class ResourceShares:
 
     def __post_init__(self) -> None:
         # One comparison on the common, valid path; it is false for NaN
-        # and both infinities. The loop runs only to name what failed.
+        # and both infinities. The loop runs only to name what failed, so
+        # each term here must test the same range as the loop below.
         if not (
             0.0 < self.cpu <= 1.0
             and 0.0 < self.memory <= 1.0
@@ -75,9 +76,6 @@ class ResourceShares:
         if resource not in RESOURCES:
             raise ValueError(f"unknown resource {resource!r}")
         return getattr(self, resource)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in RESOURCES}
 
 
 DEFAULT_SHARES = ResourceShares()
@@ -126,7 +124,7 @@ class ActuatorPolicy:
         object.__setattr__(
             self,
             "_target_floors",
-            tuple((RESOURCES.index(r), getattr(self, f"floor_{r}")) for r in self.targets),
+            tuple((RESOURCES.index(r), self.floor(r)) for r in self.targets),
         )
 
     def floor(self, resource: str) -> float:

@@ -15,7 +15,7 @@ applies, so idempotence is observable.
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
 duty-cycle thread that stops (SIGSTOP) and continues (SIGCONT) the
 process over a fixed period. A zombie (exited but not yet reaped) counts
-as gone. Memory, network, and filesystem limits are reported unsupported
+as gone once its whole thread group has exited. Memory, network, and filesystem limits are reported unsupported
 per-resource; supported resources still apply.
 """
 
@@ -26,7 +26,7 @@ import io
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -156,14 +156,9 @@ class FakeHostAdapter:
         if redundant:
             return Ack(call="apply_shares", noop=True, applied=(), unsupported=self.unsupported)
         if self.unsupported:
-            merged = {
-                name: (shares.get(name) if name in self._applied else proc.shares.get(name))
-                for name in RESOURCES
-            }
-            proc.shares = ResourceShares(**merged)
-        else:
-            # Already a valid shares value: keep it rather than rebuild it.
-            proc.shares = shares
+            # Resources this host cannot limit keep their current share.
+            shares = replace(shares, **{r: proc.shares.get(r) for r in self.unsupported})
+        proc.shares = shares
         return Ack(call="apply_shares", applied=self._applied, unsupported=self.unsupported)
 
     def terminate(self, handle: ProcessHandle) -> Ack:
@@ -315,9 +310,13 @@ class LinuxSignalAdapter:
         """Whether ``pid`` is a process that can still run.
 
         ``kill(pid, 0)`` succeeds for a zombie (exited, not yet reaped),
-        so the state field of ``/proc/<pid>/stat`` decides: ``Z`` (and
-        ``X``, dead) count as gone. Without a readable ``/proc`` entry
-        the ``kill`` answer stands.
+        so ``/proc/<pid>/stat`` decides: the process is gone when its
+        state is ``Z`` (or ``X``, dead) and its thread count is down to
+        one. A leader whose main thread exited while other threads run
+        also shows ``Z``, but its thread count stays above one, and the
+        process keeps running; signals to the pid still reach the whole
+        group. Without a readable, complete ``/proc`` entry the ``kill``
+        answer stands.
         """
         try:
             os.kill(pid, 0)
@@ -331,6 +330,9 @@ class LinuxSignalAdapter:
         except OSError:
             return True
         # The command name in parentheses may hold spaces and ')', so the
-        # state is the first field after the last ')'.
+        # state is the first field after the last ')' and num_threads the
+        # eighteenth.
         after_name = fields.rpartition(b")")[2].split()
-        return not after_name or after_name[0] not in (b"Z", b"X")
+        if len(after_name) < 18 or after_name[0] not in (b"Z", b"X"):
+            return True
+        return int(after_name[17]) > 1

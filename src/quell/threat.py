@@ -34,7 +34,8 @@ Values are validated when they are constructed: a ledger rejects any
 score outside [0, 100] (NaN and infinities included) and any negative
 count. The steps build only from valid ledgers and bounded policies, so
 they do not re-check what a ledger already guarantees; ``assess`` is
-the public entry for scores from elsewhere and keeps its checks.
+the checked form of the same growth rule, for a score that does not
+come from a ledger.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class AssessmentPolicy:
     * exponential:  x -> (2**epoch)*x + 1, epoch being the current epoch
                     index (numbering starts at 0)
 
-    Results are clamped by ``assess``, not here.
+    Results are clamped by the caller (``assess``, ``step_epoch``), not here.
     """
 
     family: GrowthFamily = GrowthFamily.INCREMENTAL
@@ -150,6 +151,7 @@ class AssessmentPolicy:
 
 def _check_score(value: float, name: str) -> None:
     # The range comparison is false for NaN and both infinities.
+    # ``ThreatLedger.__post_init__`` inlines the same range for speed.
     if not 0.0 <= value <= SCORE_CEILING:
         raise ValueError(f"{name} must lie in [0, {SCORE_CEILING:g}], got {value!r}")
 
@@ -164,6 +166,9 @@ def assess(policy: AssessmentPolicy, previous: float, epoch: int) -> float:
 
     The result never falls below ``previous``: all growth families are
     non-decreasing and the previous value was already within bounds.
+    ``step_epoch`` grows ledger scores with the same
+    ``clamp(policy.grow(previous, epoch))`` but skips these checks,
+    which a valid ledger already guarantees.
     """
     _check_score(previous, "previous")
     _check_epoch(epoch)
@@ -189,7 +194,8 @@ class ThreatLedger:
 
     def __post_init__(self) -> None:
         # One comparison on the common, valid path; the per-field checks
-        # run only to name what failed.
+        # run only to name what failed, so each score term here must test
+        # the same range as ``_check_score``.
         if not (
             0.0 <= self.penalty <= SCORE_CEILING
             and 0.0 <= self.compensation <= SCORE_CEILING

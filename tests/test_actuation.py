@@ -27,7 +27,7 @@ MULTIPLICATIVE = ActuatorPolicy(mode=ActuationMode.MULTIPLICATIVE)
 
 class TestResourceShares:
     def test_defaults_are_all_ones(self):
-        assert DEFAULT_SHARES.as_dict() == {name: 1.0 for name in RESOURCES}
+        assert [DEFAULT_SHARES.get(name) for name in RESOURCES] == [1.0] * len(RESOURCES)
 
     @pytest.mark.parametrize("value", [0.0, -0.1, 1.0001, math.nan])
     def test_rejects_out_of_range(self, value):
@@ -39,6 +39,21 @@ class TestResourceShares:
     def test_each_share_names_itself(self, resource, value):
         with pytest.raises(ValueError, match=rf"^{resource} share must lie in \(0, 1\], got "):
             ResourceShares(**{resource: value})
+
+    @given(
+        resource=st.sampled_from(RESOURCES),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, 5e-324, 1.0, math.nextafter(1.0, math.inf)]),
+        ),
+    )
+    def test_fast_and_named_checks_agree(self, resource, value):
+        # Accepted exactly on (0, 1]; anything else is named by resource.
+        if 0.0 < value <= 1.0:
+            assert ResourceShares(**{resource: value}).get(resource) == value
+        else:
+            with pytest.raises(ValueError, match=rf"^{resource} share must lie in"):
+                ResourceShares(**{resource: value})
 
     def test_get_and_unknown_resource(self):
         shares = ResourceShares(cpu=0.25)

@@ -1,5 +1,6 @@
 """Host adapters: the scripted fake and the signal-driven Linux one."""
 
+import signal
 import subprocess
 import sys
 import threading
@@ -239,4 +240,37 @@ class TestLinuxSignalAdapter:
             assert threading.active_count() == threads
             assert _proc_state(child.pid) == "Z"
         finally:
+            child.wait(timeout=5)
+
+    def test_zombie_leader_with_a_running_thread_is_alive(self):
+        # The main thread exits while a second thread sleeps: /proc shows
+        # the leader as Z, but the process runs on and must stay under
+        # supervision until it is killed.
+        code = (
+            "import ctypes, threading, time\n"
+            "threading.Thread(target=time.sleep, args=(30,)).start()\n"
+            "ctypes.CDLL(None).pthread_exit(None)\n"
+        )
+        child = subprocess.Popen([sys.executable, "-c", code])
+        adapter = LinuxSignalAdapter()
+        try:
+            if _proc_state(child.pid) is None:
+                pytest.skip("/proc/<pid>/stat is not readable")
+            deadline = time.monotonic() + 10.0
+            while _proc_state(child.pid) != "Z":
+                assert child.poll() is None, "the child exited as a whole"
+                assert time.monotonic() < deadline, "the leader never showed state Z"
+                time.sleep(0.01)
+            handle = adapter.attach(child.pid)
+            assert adapter.poll(handle) is True
+            ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+            assert ack.applied == ("cpu",)
+            assert adapter._cyclers[handle.ident].is_alive()
+            assert adapter.terminate(handle) == Ack(call="terminate")
+            assert child.wait(timeout=5) == -signal.SIGKILL
+            assert adapter.poll(handle) is False
+        finally:
+            adapter.close()
+            if child.poll() is None:
+                child.kill()
             child.wait(timeout=5)

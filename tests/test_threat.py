@@ -261,6 +261,21 @@ class TestLedgerValidation:
         with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 100\], got "):
             ThreatLedger(**{field: value})
 
+    @given(
+        field=st.sampled_from(["penalty", "compensation", "threat_index"]),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, SCORE_CEILING, math.nextafter(SCORE_CEILING, math.inf)]),
+        ),
+    )
+    def test_fast_and_named_checks_agree(self, field, value):
+        # Accepted exactly on [0, 100]; anything else is named by field.
+        if 0.0 <= value <= SCORE_CEILING:
+            assert getattr(ThreatLedger(**{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=rf"^{field} must lie in"):
+                ThreatLedger(**{field: value})
+
     @pytest.mark.parametrize("field", ["epoch", "measurements"])
     def test_negative_counts_rejected(self, field):
         with pytest.raises(ValueError, match="^epoch and measurements must be non-negative$"):
