@@ -9,7 +9,6 @@ or the output directory; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import signal
 import sys
@@ -17,6 +16,7 @@ import threading
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
+from .csvio import write_rows
 from .detectors import SourceExhausted
 from .efficacy import (
     EfficacyTarget,
@@ -173,11 +173,8 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         for signo, handler in previous_handlers.items():
             signal.signal(signo, handler)
 
-    with (out_dir / "supervision.csv").open("w", encoding="utf-8", newline="") as handle_file:
-        writer = csv.writer(handle_file, lineterminator="\n")
-        writer.writerow(SUPERVISION_CSV_HEADER)
-        for report in reports:
-            writer.writerow(report.csv_row())
+    rows = (report.csv_row() for report in reports)
+    write_rows(out_dir / "supervision.csv", SUPERVISION_CSV_HEADER, rows)
     for report in reports:
         print(
             f"{report.process_id}: {report.final_state} after epoch {report.epochs_run}"

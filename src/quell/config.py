@@ -99,7 +99,7 @@ def _policy(section: configparser.SectionProxy, role: str) -> AssessmentPolicy:
         family = GrowthFamily(family_name)
     except ValueError:
         raise ConfigError(
-            f"[policies] {role}_family must be incremental, linear, or exponential, "
+            f"[{section.name}] {role}_family must be incremental, linear, or exponential, "
             f"got {family_name!r}"
         ) from None
     if family is GrowthFamily.LINEAR:
@@ -108,7 +108,7 @@ def _policy(section: configparser.SectionProxy, role: str) -> AssessmentPolicy:
         try:
             return AssessmentPolicy.linear(a, b)
         except ValueError as exc:
-            raise ConfigError(f"[policies] {role}: {exc}") from None
+            raise ConfigError(f"[{section.name}] {role}: {exc}") from None
     return AssessmentPolicy(family)
 
 

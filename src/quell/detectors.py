@@ -18,13 +18,13 @@ the 64-bit output.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Union
 
+from .csvio import read_rows
 from .threat import Verdict
 
 __all__ = [
@@ -208,35 +208,20 @@ def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
     """
     path = Path(path)
     rows: dict[str, dict[int, Verdict]] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    for where, row in read_rows(path, TRACE_CSV_HEADER, "trace"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
-        if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(TRACE_CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{row_number}: expected 3 fields, got {len(row)}")
-            where = f"{path}:{row_number}"
-            try:
-                epoch = int(row[0])
-            except ValueError:
-                raise ValueError(f"{where}: epoch must be an integer, got {row[0]!r}") from None
-            if epoch < 0:
-                raise ValueError(f"{where}: epoch must be non-negative, got {epoch}")
-            process = row[1].strip()
-            if not process:
-                raise ValueError(f"{where}: empty process id")
-            per_process = rows.setdefault(process, {})
-            if epoch in per_process:
-                raise ValueError(f"{where}: duplicate epoch {epoch} for process {process!r}")
-            per_process[epoch] = _parse_verdict(row[2], where)
+            epoch = int(row[0])
+        except ValueError:
+            raise ValueError(f"{where}: epoch must be an integer, got {row[0]!r}") from None
+        if epoch < 0:
+            raise ValueError(f"{where}: epoch must be non-negative, got {epoch}")
+        process = row[1].strip()
+        if not process:
+            raise ValueError(f"{where}: empty process id")
+        per_process = rows.setdefault(process, {})
+        if epoch in per_process:
+            raise ValueError(f"{where}: duplicate epoch {epoch} for process {process!r}")
+        per_process[epoch] = _parse_verdict(row[2], where)
     if not rows:
         raise ValueError(f"{path}: no trace rows")
     sources: dict[str, TraceSource] = {}
@@ -263,30 +248,15 @@ def load_measurement_stream_csv(path: str | Path) -> tuple[float, ...]:
     """
     path = Path(path)
     values: dict[int, float] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    for where, row in read_rows(path, STREAM_CSV_HEADER, "stream"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty stream file") from None
-        if tuple(h.strip() for h in header) != STREAM_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(STREAM_CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{row_number}: expected 2 fields, got {len(row)}")
-            where = f"{path}:{row_number}"
-            try:
-                epoch = int(row[0])
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{where}: malformed row {row!r}") from None
-            if epoch < 0 or epoch in values:
-                raise ValueError(f"{where}: bad or duplicate epoch {epoch}")
-            values[epoch] = value
+            epoch = int(row[0])
+            value = float(row[1])
+        except ValueError:
+            raise ValueError(f"{where}: malformed row {row!r}") from None
+        if epoch < 0 or epoch in values:
+            raise ValueError(f"{where}: bad or duplicate epoch {epoch}")
+        values[epoch] = value
     if not values:
         raise ValueError(f"{path}: no stream rows")
     last = max(values)

@@ -10,11 +10,12 @@ converts to wall-clock time through the epoch duration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .csvio import read_rows
 
 __all__ = [
     "CurvePoint",
@@ -158,31 +159,11 @@ def load_curve_csv(
 ) -> EfficacyCurve:
     """Read a curve from CSV with the exact header measurements,f1,fpr."""
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    points = []
+    for where, row in read_rows(path, CURVE_CSV_HEADER, "curve"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty curve file") from None
-        if tuple(h.strip() for h in header) != CURVE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(CURVE_CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        points = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{row_number}: expected 3 fields, got {len(row)}")
-            try:
-                points.append(
-                    CurvePoint(
-                        measurements=int(row[0]),
-                        f1=float(row[1]),
-                        fpr=float(row[2]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_number}: {exc}") from None
+            points.append(CurvePoint(measurements=int(row[0]), f1=float(row[1]), fpr=float(row[2])))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     name = detector_name if detector_name is not None else path.stem
     return EfficacyCurve(tuple(points), detector_name=name, epoch_duration_ms=epoch_duration_ms)

@@ -15,13 +15,14 @@ applies, so idempotence is observable.
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
 duty-cycle thread that stops (SIGSTOP) and continues (SIGCONT) the
 process over a fixed period. A zombie (exited but not yet reaped) counts
-as gone once its whole thread group has exited. Memory, network, and filesystem limits are reported unsupported
-per-resource; supported resources still apply.
+as gone once its whole thread group has exited, so ``terminate``
+acknowledges it as a no-op without a signal. Memory, network, and
+filesystem limits are reported unsupported per-resource; supported
+resources still apply.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import signal
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .actuation import DEFAULT_SHARES, RESOURCES, ResourceShares
+from .csvio import write_rows
 
 __all__ = [
     "StaleHandleError",
@@ -53,11 +55,11 @@ class StaleHandleError(Exception):
 
 @dataclass(frozen=True)
 class ProcessHandle:
-    """Opaque reference to one controlled process plus its attach-time
-    default allotment (shares are fractions of these defaults)."""
+    """Opaque reference to one controlled process (its pid, for
+    ``LinuxSignalAdapter``). The adapter, not the handle, keeps the
+    process's current shares."""
 
     ident: str
-    default_shares: ResourceShares = DEFAULT_SHARES
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ class CallRecord:
 
 @dataclass
 class _FakeProcess:
-    handle: ProcessHandle
     shares: ResourceShares
     alive: bool = True
 
@@ -130,15 +131,12 @@ class FakeHostAdapter:
 
     # -- scripting surface -------------------------------------------------
 
-    def spawn(
-        self, ident: str, default_shares: ResourceShares = DEFAULT_SHARES
-    ) -> ProcessHandle:
+    def spawn(self, ident: str) -> ProcessHandle:
         if ident in self._processes:
             raise ValueError(f"process {ident!r} already exists")
-        handle = ProcessHandle(ident=ident, default_shares=default_shares)
-        self._processes[ident] = _FakeProcess(handle=handle, shares=default_shares)
-        self._log(ident, "attach", format_shares(default_shares))
-        return handle
+        self._processes[ident] = _FakeProcess(shares=DEFAULT_SHARES)
+        self._log(ident, "attach", format_shares(DEFAULT_SHARES))
+        return ProcessHandle(ident=ident)
 
     def script_natural_exit(self, handle: ProcessHandle) -> None:
         """Mark the process as having exited on its own."""
@@ -175,14 +173,7 @@ class FakeHostAdapter:
         return self._lookup(handle).shares
 
     def export_calls_csv(self, destination: str | Path | io.TextIOBase) -> None:
-        if isinstance(destination, (str, Path)):
-            with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-                self.export_calls_csv(handle)
-            return
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(CALLS_CSV_HEADER)
-        for record in self.calls:
-            writer.writerow(record.csv_row())
+        write_rows(destination, CALLS_CSV_HEADER, (record.csv_row() for record in self.calls))
 
     # -- internals ------------------------------------------------------------
 
@@ -245,6 +236,7 @@ class LinuxSignalAdapter:
     """
 
     PERIOD_MS = 100.0
+    _UNSUPPORTED = ("memory", "network", "filesystem")
 
     def __init__(self) -> None:
         self._cyclers: dict[str, _DutyCycler] = {}
@@ -263,7 +255,7 @@ class LinuxSignalAdapter:
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         pid = self._require_alive(handle)
         if shares == self._shares.get(handle.ident):
-            return Ack(call="apply_shares", noop=True, unsupported=self._unsupported())
+            return Ack(call="apply_shares", noop=True, unsupported=self._UNSUPPORTED)
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
         else:
@@ -276,12 +268,17 @@ class LinuxSignalAdapter:
             else:
                 cycler.fraction = shares.cpu
         self._shares[handle.ident] = shares
-        return Ack(call="apply_shares", applied=("cpu",), unsupported=self._unsupported())
+        return Ack(call="apply_shares", applied=("cpu",), unsupported=self._UNSUPPORTED)
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         self._stop_cycler(handle.ident)
+        pid = int(handle.ident)
+        # A zombie has nothing left to kill, so it is acknowledged as
+        # already gone, the same as a reaped pid.
+        if not self._pid_exists(pid):
+            return Ack(call="terminate", noop=True)
         try:
-            os.kill(int(handle.ident), signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             return Ack(call="terminate", noop=True)
         return Ack(call="terminate")
@@ -289,9 +286,6 @@ class LinuxSignalAdapter:
     def close(self) -> None:
         for ident in list(self._cyclers):
             self._stop_cycler(ident)
-
-    def _unsupported(self) -> tuple[str, ...]:
-        return ("memory", "network", "filesystem")
 
     def _require_alive(self, handle: ProcessHandle) -> int:
         pid = int(handle.ident)

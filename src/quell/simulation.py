@@ -36,7 +36,6 @@ scenarios produce byte-identical logs.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -53,6 +52,7 @@ from .actuation import (
     actuate,
     actuate_reset,
 )
+from .csvio import write_rows
 from .detectors import SourceExhausted, VerdictSource, next_verdict
 from .threat import (
     AssessmentPolicy,
@@ -330,14 +330,7 @@ class ScenarioLog:
         return self.for_process(process_id)[-1].cumulative
 
     def write_csv(self, destination: str | Path | io.TextIOBase) -> None:
-        if isinstance(destination, (str, Path)):
-            with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-                self.write_csv(handle)
-            return
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(LOG_CSV_HEADER)
-        for record in self.records:
-            writer.writerow(record.csv_row())
+        write_rows(destination, LOG_CSV_HEADER, (record.csv_row() for record in self.records))
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
@@ -484,11 +477,4 @@ def slowdown_reports(with_log: ScenarioLog, without_log: ScenarioLog) -> tuple[S
 def write_slowdown_csv(
     reports: tuple[SlowdownReport, ...], destination: str | Path | io.TextIOBase
 ) -> None:
-    if isinstance(destination, (str, Path)):
-        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            write_slowdown_csv(reports, handle)
-        return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(SLOWDOWN_CSV_HEADER)
-    for report in reports:
-        writer.writerow(report.csv_row())
+    write_rows(destination, SLOWDOWN_CSV_HEADER, (report.csv_row() for report in reports))

@@ -313,6 +313,26 @@ class TestRejections:
         with pytest.raises(ConfigError, match="penalty_family"):
             load_scenario(write_ini(tmp_path, text))
 
+    @pytest.mark.parametrize("section", ["policies", "scenario"])
+    def test_family_error_names_the_section_read(self, tmp_path, section):
+        policy = "penalty_family = quadratic\n"
+        if section == "scenario":
+            text = MINIMAL.replace("[scenario]\n", "[scenario]\n" + policy)
+        else:
+            text = MINIMAL + "\n[policies]\n" + policy
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario(write_ini(tmp_path, text))
+        assert str(excinfo.value) == (
+            f"[{section}] penalty_family must be incremental, linear, or exponential, "
+            "got 'quadratic'"
+        )
+
+    def test_linear_policy_error_names_the_scenario_section(self, tmp_path):
+        policy = "compensation_family = linear\ncompensation_a = -1\n"
+        text = MINIMAL.replace("[scenario]\n", "[scenario]\n" + policy)
+        with pytest.raises(ConfigError, match=r"^\[scenario\] compensation: "):
+            load_scenario(write_ini(tmp_path, text))
+
     def test_bad_actuator_mode(self, tmp_path):
         text = MINIMAL + "\n[actuator]\nmode = subtractive\n"
         with pytest.raises(ConfigError, match="mode must be"):

@@ -1,5 +1,6 @@
 """Host adapters: the scripted fake and the signal-driven Linux one."""
 
+import os
 import signal
 import subprocess
 import sys
@@ -240,6 +241,43 @@ class TestLinuxSignalAdapter:
             assert threading.active_count() == threads
             assert _proc_state(child.pid) == "Z"
         finally:
+            child.wait(timeout=5)
+
+    def test_terminating_a_zombie_signals_nothing(self, monkeypatch):
+        # The child is duty-cycled, then exits on its own and stays
+        # unreaped: terminate stops the cycler and kills nothing.
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE
+        )
+        adapter = LinuxSignalAdapter()
+        try:
+            if _proc_state(child.pid) is None:
+                pytest.skip("/proc/<pid>/stat is not readable")
+            handle = adapter.attach(child.pid)
+            threads = threading.active_count()
+            adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+            assert adapter._cyclers[handle.ident].is_alive()
+            child.stdin.close()
+            deadline = time.monotonic() + 10.0
+            while _proc_state(child.pid) != "Z":
+                assert time.monotonic() < deadline, "the child never showed state Z"
+                time.sleep(0.01)
+            sent = []
+            kill = os.kill
+
+            def recording_kill(pid, signo):
+                sent.append(signo)
+                kill(pid, signo)
+
+            monkeypatch.setattr(os, "kill", recording_kill)
+            assert adapter.terminate(handle) == Ack(call="terminate", noop=True)
+            monkeypatch.undo()
+            assert signal.SIGKILL not in sent
+            assert adapter._cyclers == {}
+            assert threading.active_count() == threads
+            assert _proc_state(child.pid) == "Z"
+        finally:
+            adapter.close()
             child.wait(timeout=5)
 
     def test_zombie_leader_with_a_running_thread_is_alive(self):
