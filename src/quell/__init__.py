@@ -56,6 +56,7 @@ from .hostadapter import (
     StaleHandleError,
 )
 from .simulation import (
+    Baseline,
     Cliff,
     Combiner,
     EpochRecord,
@@ -68,6 +69,7 @@ from .simulation import (
     ScenarioError,
     ScenarioLog,
     SlowdownReport,
+    baseline,
     progress_rate,
     respond,
     run_scenario,
@@ -148,11 +150,13 @@ __all__ = [
     "Scenario",
     "EpochRecord",
     "ScenarioLog",
+    "Baseline",
     "SlowdownReport",
     "ScenarioError",
     "progress_rate",
     "respond",
     "run_scenario",
+    "baseline",
     "slowdown",
     "slowdown_reports",
     "write_slowdown_csv",

@@ -29,6 +29,7 @@ from .efficacy import (
 from .hostadapter import FakeHostAdapter, LinuxSignalAdapter, StaleHandleError
 from .simulation import (
     ScenarioError,
+    baseline,
     run_scenario,
     slowdown_reports,
     write_slowdown_csv,
@@ -101,8 +102,7 @@ def _prepare_out(out: str) -> Path:
 
 def _run_and_write(scenario, out_dir: Path) -> int:
     with_log = run_scenario(scenario)
-    base_log = run_scenario(scenario.without_response())
-    reports = slowdown_reports(with_log, base_log)
+    reports = slowdown_reports(with_log, baseline(scenario))
     with_log.write_csv(out_dir / "log.csv")
     write_slowdown_csv(reports, out_dir / "slowdown.csv")
     for report in reports:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -22,10 +23,12 @@ def read_rows(
 ) -> Iterator[tuple[str, list[str]]]:
     """Yield ``(where, row)`` for each non-blank row after the header.
 
-    ``where`` is ``path:line``, counting the header as line 1. An empty
-    file (named by ``kind`` in the message), a header other than
-    ``header``, or a row whose field count differs from the header's
-    raises ``ValueError``. The file is closed when iteration stops.
+    ``where`` is ``path:line``: the physical line the row starts on,
+    counting the header as line 1, so a quoted field that spans lines
+    does not shift the rows after it. An empty file (named by ``kind``
+    in the message), a header other than ``header``, or a row whose
+    field count differs from the header's raises ``ValueError``. The
+    file is closed when iteration stops.
     """
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -38,12 +41,37 @@ def read_rows(
                 f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
         width = len(header)
-        for line, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            line, end = end + 1, reader.line_num
             if not "".join(row).strip():
                 continue
             if len(row) != width:
                 raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
             yield f"{path}:{line}", row
+
+
+@contextmanager
+def _text_sink(destination: str | Path | io.TextIOBase) -> Iterator[io.TextIOBase]:
+    """An open stream as it is, or a path opened for UTF-8 without newline translation."""
+    if isinstance(destination, (str, Path)):
+        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield destination
+
+
+def _format_row(cells: Sequence[str]) -> str:
+    """One output row as the writers spell it, LF included."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
+
+
+def quote_cell(cell: str) -> str:
+    """``cell`` as it appears in a row of several fields: quoted only if it must be."""
+    # A row of one empty field is spelled '""', so format a row of two.
+    return _format_row((cell, ""))[:-2]
 
 
 def write_rows(
@@ -52,10 +80,20 @@ def write_rows(
     rows: Iterable[Sequence[str]],
 ) -> None:
     """Write ``header`` and then ``rows`` to a path or an open text stream."""
-    if isinstance(destination, (str, Path)):
-        with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-            write_rows(handle, header, rows)
-        return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    with _text_sink(destination) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(
+    destination: str | Path | io.TextIOBase, header: Sequence[str], lines: Iterable[str]
+) -> None:
+    """Write ``header`` and then rows already spelled as ``write_rows`` spells them.
+
+    The caller owns the quoting of every cell in ``lines`` (``quote_cell``
+    does it for free text); each line ends in LF. Everything goes out in
+    one ``write`` call.
+    """
+    with _text_sink(destination) as handle:
+        handle.write(_format_row(header) + "".join(lines))

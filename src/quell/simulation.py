@@ -27,7 +27,12 @@ Multipliers across resources combine by bottleneck (minimum, the
 default) or product.
 
 Slowdown compares the throttled run against the same scenario with the
-response disabled: S = (1 - with/without) * 100, in percent.
+response disabled: S = (1 - with/without) * 100, in percent. With the
+response off every epoch accrues the rate at the default shares, so
+``baseline`` computes those totals in closed form, adding the rate once
+per epoch in the order a run would, and matches the totals of
+``run_scenario(scenario.without_response())`` bit for bit without
+building its records.
 
 Determinism: scenarios are pure functions of their configuration and
 seed, and the CSV emission uses fixed 6-decimal formatting, so equal
@@ -52,7 +57,7 @@ from .actuation import (
     actuate,
     actuate_reset,
 )
-from .csvio import write_rows
+from .csvio import quote_cell, write_lines, write_rows
 from .detectors import SourceExhausted, VerdictSource, next_verdict
 from .threat import (
     AssessmentPolicy,
@@ -74,11 +79,13 @@ __all__ = [
     "Scenario",
     "EpochRecord",
     "ScenarioLog",
+    "Baseline",
     "SlowdownReport",
     "ScenarioError",
     "progress_rate",
     "respond",
     "run_scenario",
+    "baseline",
     "slowdown",
     "slowdown_reports",
     "write_slowdown_csv",
@@ -330,12 +337,58 @@ class ScenarioLog:
         return self.for_process(process_id)[-1].cumulative
 
     def write_csv(self, destination: str | Path | io.TextIOBase) -> None:
-        write_rows(destination, LOG_CSV_HEADER, (record.csv_row() for record in self.records))
+        """Write ``log.csv``: the bytes ``csv_row`` through the CSV writer gives.
+
+        Every cell but the process id is an int, a fixed-point float or
+        an enum value, none of which the writer would quote, so each row
+        is one f-string. Ids are quoted once each, and the four share
+        cells are formatted once per distinct shares.
+        """
+        ids: dict[str, str] = {}
+        shares: dict[tuple[float, float, float, float], str] = {}
+        lines = []
+        append = lines.append
+        for (
+            epoch, process_id, verdict, penalty, compensation, threat_index, state,
+            cpu, memory, network, filesystem, progress, cumulative,
+        ) in self.records:
+            id_cell = ids.get(process_id)
+            if id_cell is None:
+                id_cell = ids[process_id] = quote_cell(process_id)
+            key = (cpu, memory, network, filesystem)
+            share_cells = shares.get(key)
+            if share_cells is None:
+                share_cells = f"{cpu:.6f},{memory:.6f},{network:.6f},{filesystem:.6f}"
+                if 0.0 not in key:  # 0.0 and -0.0 are one key but print apart
+                    shares[key] = share_cells
+            append(
+                f"{epoch},{id_cell},{verdict},{penalty:.6f},{compensation:.6f},"
+                f"{threat_index:.6f},{state},{share_cells},{progress:.6f},{cumulative:.6f}\n"
+            )
+        write_lines(destination, LOG_CSV_HEADER, lines)
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
         self.write_csv(buffer)
         return buffer.getvalue()
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """Total progress of every process with the response disabled.
+
+    Answers what ``slowdown`` asks of the log of the unthrottled run:
+    its ``epochs`` and each process's ``total_progress``.
+    """
+
+    epochs: int
+    totals: Mapping[str, float]
+
+    def total_progress(self, process_id: str) -> float:
+        total = self.totals.get(process_id)
+        if total is None:
+            raise ValueError(f"no records for process {process_id!r}")
+        return total
 
 
 @dataclass(frozen=True)
@@ -431,18 +484,46 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioLog:
-    """Run every process through the scenario and merge the records."""
+    """Run every process through the scenario and merge the records.
+
+    Each run is in epoch order and ids are unique, so taking epoch by
+    epoch the runs still alive, in id order, sorts by epoch then id.
+    Processes run in scenario order, so the first failure in that order
+    is the one raised.
+    """
+    runs = [_run_process(spec, scenario) for spec in scenario.processes]
+    runs.sort(key=lambda run: run[0].process_id)
     merged: list[EpochRecord] = []
-    for spec in scenario.processes:
-        merged.extend(_run_process(spec, scenario))
-    merged.sort(key=lambda r: (r.epoch, r.process_id))
+    for epoch in range(scenario.epochs):
+        merged.extend([run[epoch] for run in runs])
+        runs = [run for run in runs if len(run) > epoch + 1]
     return ScenarioLog(epochs=scenario.epochs, records=tuple(merged))
 
 
-def slowdown(with_log: ScenarioLog, without_log: ScenarioLog, process_id: str) -> SlowdownReport:
+def baseline(scenario: Scenario) -> Baseline:
+    """The totals of ``run_scenario(scenario.without_response())``, without its records.
+
+    With the response off a process accrues its rate at the default
+    shares every epoch; the rate is added once per epoch, as a run adds
+    it, so the totals are equal bit for bit.
+    """
+    totals = {}
+    for spec in scenario.processes:
+        rate = progress_rate(spec.model, DEFAULT_SHARES)
+        total = 0.0
+        for _ in range(scenario.epochs):
+            total += rate
+        totals[spec.process_id] = total
+    return Baseline(epochs=scenario.epochs, totals=totals)
+
+
+def slowdown(
+    with_log: ScenarioLog, without_log: ScenarioLog | Baseline, process_id: str
+) -> SlowdownReport:
     """Percent of baseline progress lost to the response.
 
-    Both logs must cover the same number of epochs. The result is
+    ``without_log`` is the log of the run without response or its
+    ``baseline``. Both must cover the same number of epochs. The result is
     clamped to [0, 100]; with monotone response curves the throttled run
     can never outpace the baseline, and a materially negative value is
     rejected as a broken invariant rather than hidden.
@@ -468,7 +549,9 @@ def slowdown(with_log: ScenarioLog, without_log: ScenarioLog, process_id: str) -
     )
 
 
-def slowdown_reports(with_log: ScenarioLog, without_log: ScenarioLog) -> tuple[SlowdownReport, ...]:
+def slowdown_reports(
+    with_log: ScenarioLog, without_log: ScenarioLog | Baseline
+) -> tuple[SlowdownReport, ...]:
     return tuple(
         slowdown(with_log, without_log, process_id) for process_id in with_log.process_ids()
     )

@@ -7,6 +7,7 @@ tracer fails here rather than in the middle of a traced benchmark run.
 
 from pathlib import Path
 
+import quell.cli
 import quell.simulation
 import quell.supervisor
 import quell.threat
@@ -48,3 +49,29 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch):
     assert not tracer.installed
     assert quell.simulation.step_epoch is quell.threat.step_epoch
     assert quell.supervisor.supervise is supervise
+
+
+def test_simulate_calls_every_traced_layer_once(monkeypatch, tmp_path, configs_dir, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        ini = configs_dir / "worked_attack.ini"
+        assert quell.cli.main(["simulate", "--scenario", str(ini), "--out", str(tmp_path)]) == 0
+        tracer.end_operation()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.stats.calls
+    for name in (
+        "cli.main.simulate",
+        "simulation.run",
+        "simulation.slowdown_reports",
+        "simulation.write_log",
+        "simulation.write_slowdown",
+    ):
+        assert calls[name] == 1, name
+    # The baseline is computed in closed form, not by a second run.
+    assert calls["simulation.baseline"] == 0

@@ -1,0 +1,122 @@
+"""Line numbers across multi-line fields, and the line-formatted log writer."""
+
+import csv
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from quell.detectors import load_measurement_stream_csv, load_trace_csv
+from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
+from quell.threat import LifecycleState
+
+
+def write(tmp_path: Path, text: str) -> Path:
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def error(load, path: Path) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        load(path)
+    return str(excinfo.value)
+
+
+class TestPhysicalLineNumbers:
+    """A quoted field spanning lines does not shift the lines after it."""
+
+    def test_stream_row_after_a_multi_line_field(self, tmp_path):
+        path = write(tmp_path, 'epoch,value\n0,"1.5\n"\n1,2.0\n2,x\n')
+        assert error(load_measurement_stream_csv, path) == f"{path}:5: malformed row ['2', 'x']"
+
+    def test_trace_row_after_a_multi_line_field(self, tmp_path):
+        path = write(tmp_path, 'epoch,process,verdict\n0,p,"benign\n\n"\n1,p,malicious\n2,p,sus\n')
+        assert error(load_trace_csv, path) == (
+            f"{path}:6: verdict must be 'malicious' or 'benign', got 'sus'"
+        )
+
+    def test_field_count_after_a_multi_line_field(self, tmp_path):
+        path = write(tmp_path, 'epoch,process,verdict\n0,"p\n",benign\n\n1,p\n')
+        assert error(load_trace_csv, path) == f"{path}:5: expected 3 fields, got 2"
+
+    def test_multi_line_row_names_the_line_it_starts_on(self, tmp_path):
+        path = write(tmp_path, 'epoch,value\n0,1.0\n1,"2.0\nx"\n')
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:3: malformed row ['1', '2.0\\nx']"
+        )
+
+    def test_crlf_lines_count_once(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b'epoch,value\r\n0,"1.5\r\n"\r\n\r\n1,2.0\r\n2,x\r\n')
+        assert error(load_measurement_stream_csv, path) == f"{path}:6: malformed row ['2', 'x']"
+
+
+# -- log.csv writer ----------------------------------------------------------
+
+ROUNDING_EDGES = [5e-7, 0.0000005, 4.999999e-7, 1.5e-6, 0.9999995, 100.0, 1.0, 0.0, -0.0]
+values = st.sampled_from(ROUNDING_EDGES) | st.floats()
+process_ids = st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\rid", " padded ", "naïve"]) | (
+    st.text(min_size=1)
+)
+shares = st.tuples(values, values, values, values)
+STATES = [state.value for state in LifecycleState]
+
+
+@st.composite
+def logs(draw) -> ScenarioLog:
+    """Records over a few ids and shares, so both caches get reused."""
+    ids = draw(st.lists(process_ids, min_size=1, max_size=4))
+    share_pool = draw(st.lists(shares, min_size=1, max_size=4))
+    records = []
+    for epoch in range(draw(st.integers(0, 12))):
+        cpu, memory, network, filesystem = draw(st.sampled_from(share_pool))
+        records.append(
+            EpochRecord(
+                epoch,
+                draw(st.sampled_from(ids)),
+                draw(st.sampled_from(["none", "benign", "malicious"])),
+                draw(values),
+                draw(values),
+                draw(values),
+                draw(st.sampled_from(STATES)),
+                cpu,
+                memory,
+                network,
+                filesystem,
+                draw(values),
+                draw(values),
+            )
+        )
+    return ScenarioLog(epochs=max(1, len(records)), records=tuple(records))
+
+
+def csv_module_bytes(log: ScenarioLog) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(LOG_CSV_HEADER)
+    writer.writerows(record.csv_row() for record in log.records)
+    return buffer.getvalue().encode("utf-8")
+
+
+SIGNED_ZEROS = ScenarioLog(
+    epochs=2,
+    records=(
+        EpochRecord(0, "p", "none", 0.0, 0.0, 0.0, "normal", 0.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+        EpochRecord(1, "p", "none", -0.0, 0.0, 0.0, "normal", -0.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+    ),
+)
+
+
+@given(log=logs())
+@example(log=SIGNED_ZEROS)
+def test_log_writer_matches_the_csv_module(tmp_path_factory, log):
+    expected = csv_module_bytes(log)
+    buffer = io.StringIO()
+    log.write_csv(buffer)
+    assert buffer.getvalue().encode("utf-8") == expected
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    log.write_csv(path)
+    assert path.read_bytes() == expected

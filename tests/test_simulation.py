@@ -2,16 +2,20 @@
 
 import random
 from dataclasses import replace
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from quell.actuation import (
     DEFAULT_SHARES,
+    RESOURCES,
     ActuationMode,
     ActuatorPolicy,
     ResourceShares,
     actuate,
 )
+from quell.config import load_scenario
 from quell.detectors import StochasticSource, GroundTruth, TraceSource
 from quell.simulation import (
     Cliff,
@@ -26,6 +30,7 @@ from quell.simulation import (
     ScenarioError,
     ScenarioLog,
     SlowdownReport,
+    baseline,
     progress_rate,
     respond,
     run_scenario,
@@ -612,3 +617,121 @@ class TestRespond:
         ledger, shares = respond(TERMINABLE, DEFAULT_SHARES, M, scenario)
         with pytest.raises(ValueError, match="cannot step"):
             respond(ledger, shares, B, scenario)
+
+
+CONFIG_FILES = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+
+
+def random_curve(rng):
+    kind = rng.choice((Proportional, LinearSaturating, Cliff))
+    if kind is Proportional:
+        return Proportional()
+    if kind is LinearSaturating:
+        return LinearSaturating(rng.uniform(0.01, 1.0))
+    return Cliff(rng.uniform(0.01, 1.0), rng.uniform(0.0, 1.0))
+
+
+def random_unthrottled_scenario(rng):
+    """Processes with random curves and rates; the sources are never consulted."""
+    specs = []
+    for number in range(rng.randint(1, 6)):
+        resources = rng.sample(RESOURCES, rng.randint(0, len(RESOURCES)))
+        model = ProgressModel(
+            base_rate=rng.choice((rng.uniform(1e-3, 10.0), rng.uniform(10.0, 1e4))),
+            response={resource: random_curve(rng) for resource in resources},
+            combiner=rng.choice(tuple(Combiner)),
+        )
+        source = StochasticSource(rng.random(), rng.random(), GroundTruth.BENIGN, number)
+        specs.append(ProcessSpec(f"p{number}", model, source))
+    return Scenario(
+        processes=tuple(specs),
+        measurement_budget=rng.randint(1, 50),
+        penalty_policy=INC,
+        compensation_policy=INC,
+        actuator=ActuatorPolicy(),
+        epochs=rng.randint(1, 200),
+    )
+
+
+class TestBaseline:
+    """``baseline`` equals the run without response, bit for bit."""
+
+    def check(self, scenario):
+        closed = baseline(scenario)
+        base_log = run_scenario(scenario.without_response())
+        assert closed.epochs == base_log.epochs == scenario.epochs
+        for spec in scenario.processes:
+            assert closed.total_progress(spec.process_id) == base_log.total_progress(
+                spec.process_id
+            )
+        messages = []
+        for without in (closed, base_log):
+            with pytest.raises(ValueError) as excinfo:
+                without.total_progress("ghost")
+            messages.append(str(excinfo.value))
+        assert messages == ["no records for process 'ghost'"] * 2
+
+    def test_random_scenarios(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            self.check(random_unthrottled_scenario(rng))
+
+    @pytest.mark.parametrize("ini", CONFIG_FILES, ids=lambda path: path.stem)
+    def test_bundled_configs(self, ini):
+        scenario = load_scenario(ini)
+        self.check(scenario)
+        with_log = run_scenario(scenario)
+        assert slowdown_reports(with_log, baseline(scenario)) == slowdown_reports(
+            with_log, run_scenario(scenario.without_response())
+        )
+
+    def test_epoch_mismatch_rejected(self):
+        scenario = cpu_scenario([M], epochs=2, budget=5)
+        with pytest.raises(ValueError, match="mismatched epoch counts"):
+            slowdown(run_scenario(scenario), baseline(replace(scenario, epochs=3)), "proc")
+
+
+class TestMergeOrder:
+    """The merged log is the per-process runs sorted by epoch, then id."""
+
+    IDS = ("9", "10", "1", "100", "b", "B", "a b", "a")
+
+    def scenario(self, rng, order):
+        specs = []
+        for process_id in order:
+            # Malicious runs of different lengths end at different epochs;
+            # a benign run outlives the scenario.
+            attack = rng.randint(0, 8)
+            verdicts = (M,) * attack + (B,) * (12 - attack) if rng.random() < 0.7 else (B,) * 12
+            model = ProgressModel(
+                base_rate=rng.uniform(1.0, 100.0), response={"cpu": Proportional()}
+            )
+            specs.append(ProcessSpec(process_id, model, TraceSource(verdicts, start_epoch=1)))
+        return Scenario(
+            processes=tuple(specs),
+            measurement_budget=rng.randint(1, 4),
+            penalty_policy=INC,
+            compensation_policy=INC,
+            actuator=ActuatorPolicy(),
+            epochs=12,
+        )
+
+    def check(self, scenario):
+        runs = [
+            run_scenario(replace(scenario, processes=(spec,))).records
+            for spec in scenario.processes
+        ]
+        expected = sorted(chain(*runs), key=lambda r: (r.epoch, r.process_id))
+        assert run_scenario(scenario).records == tuple(expected)
+        return {len(run) for run in runs}
+
+    def test_reversed_and_shuffled_ids(self):
+        rng = random.Random(7)
+        lengths = set()
+        for _ in range(30):
+            order = list(self.IDS)
+            rng.shuffle(order)
+            for ids in (order, sorted(order, reverse=True)):
+                lengths |= self.check(self.scenario(rng, ids[: rng.randint(1, len(ids))]))
+        # Terminated at several epochs, and some outlive the scenario.
+        assert len(lengths) > 3 and 12 in lengths
