@@ -21,7 +21,15 @@ referencing process id); ``stochastic`` takes ``tpr``, ``fpr``,
 ``ground_truth`` and an optional ``seed`` (derived from the scenario
 seed and process id when absent); ``threshold`` takes ``window``,
 ``cutoff`` and ``stream`` (CSV). Relative paths resolve against the
-config file's directory.
+config file's directory, and a file named by several detectors is read
+once per load. A threshold ``cutoff`` and every stream value must be
+finite.
+
+Values may use configparser's ``%(key)s`` interpolation from the same
+section or ``[DEFAULT]``; ``%%`` is a literal percent. Each section is
+read once, raw, and a value is interpolated only when its key is read
+and it holds a ``%``, so a stray ``%`` in an unread key is harmless and
+a bad one in a read key is a ``ConfigError`` naming section and key.
 """
 
 from __future__ import annotations
@@ -81,19 +89,36 @@ def parse_response_curve(spec: str) -> ResponseCurve:
     )
 
 
-def _get(section: configparser.SectionProxy, key: str, kind, default=None, required: bool = False):
-    if key not in section:
+class _Section:
+    """One section's raw values, read once; ``[DEFAULT]`` keys included."""
+
+    __slots__ = ("parser", "name", "raw")
+
+    def __init__(self, parser: configparser.ConfigParser, name: str) -> None:
+        self.parser = parser
+        self.name = name
+        self.raw = dict(parser.items(name, raw=True))
+
+
+def _get(section: _Section, key: str, kind, default=None, required: bool = False):
+    raw = section.raw.get(key)
+    if raw is None:
         if required:
             raise ConfigError(f"[{section.name}] is missing required key {key!r}")
         return default
-    raw = section[key].strip()
+    if "%" in raw:
+        try:
+            raw = section.parser.get(section.name, key)
+        except configparser.InterpolationError as exc:
+            raise ConfigError(f"[{section.name}] {key}: {exc}") from None
+    raw = raw.strip()
     try:
         return kind(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-def _policy(section: configparser.SectionProxy, role: str) -> AssessmentPolicy:
+def _policy(section: _Section, role: str) -> AssessmentPolicy:
     family_name = _get(section, f"{role}_family", str, default="incremental")
     try:
         family = GrowthFamily(family_name)
@@ -116,7 +141,7 @@ def _actuator(parser: configparser.ConfigParser) -> ActuatorPolicy:
     defaults = ActuatorPolicy()
     if not parser.has_section("actuator"):
         return defaults
-    section = parser["actuator"]
+    section = _Section(parser, "actuator")
     mode_name = _get(section, "mode", str, default=defaults.mode.value)
     try:
         mode = ActuationMode(mode_name)
@@ -142,30 +167,46 @@ def _actuator(parser: configparser.ConfigParser) -> ActuatorPolicy:
         raise ConfigError(f"[actuator] {exc}") from None
 
 
-def _detector_source(
-    parser: configparser.ConfigParser,
-    detector_name: str,
-    process_id: str,
-    base_dir: Path,
-    scenario_seed: int,
-    trace_cache: dict[Path, dict[str, TraceSource]],
-) -> VerdictSource:
-    section_name = DETECTOR_PREFIX + detector_name
-    if not parser.has_section(section_name):
-        raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
-    section = parser[section_name]
-    kind = _get(section, "kind", str, required=True)
-    if kind == "trace":
-        file_name = _get(section, "file", str, required=True)
-        path = (base_dir / file_name).resolve()
-        if path not in trace_cache:
+class _InputFiles:
+    """The files detectors name, each resolved once and read once per load."""
+
+    def __init__(self, base_dir: Path) -> None:
+        self.base_dir = base_dir
+        self._paths: dict[str, Path] = {}
+        self._contents: dict[tuple[object, Path], object] = {}
+
+    def read(self, section_name: str, file_name: str, loader):
+        """``(path, loader(path))`` for ``file_name`` relative to the config's directory."""
+        path = self._paths.get(file_name)
+        if path is None:
+            path = self._paths[file_name] = (self.base_dir / file_name).resolve()
+        # Keyed by loader too: a file named as a trace and as a stream is read as each.
+        key = (loader, path)
+        if key not in self._contents:
             try:
-                trace_cache[path] = load_trace_csv(path)
+                self._contents[key] = loader(path)
             except OSError as exc:
                 raise ConfigError(f"[{section_name}] cannot read {path}: {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"[{section_name}] {exc}") from None
-        traces = trace_cache[path]
+        return path, self._contents[key]
+
+
+def _detector_source(
+    parser: configparser.ConfigParser,
+    detector_name: str,
+    process_id: str,
+    scenario_seed: int,
+    files: _InputFiles,
+) -> VerdictSource:
+    section_name = DETECTOR_PREFIX + detector_name
+    if not parser.has_section(section_name):
+        raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
+    section = _Section(parser, section_name)
+    kind = _get(section, "kind", str, required=True)
+    if kind == "trace":
+        file_name = _get(section, "file", str, required=True)
+        path, traces = files.read(section_name, file_name, load_trace_csv)
         if process_id not in traces:
             raise ConfigError(f"[{section_name}] trace {path} has no rows for process {process_id!r}")
         return traces[process_id]
@@ -191,13 +232,7 @@ def _detector_source(
             raise ConfigError(f"[{section_name}] {exc}") from None
     if kind == "threshold":
         stream_name = _get(section, "stream", str, required=True)
-        path = (base_dir / stream_name).resolve()
-        try:
-            values = load_measurement_stream_csv(path)
-        except OSError as exc:
-            raise ConfigError(f"[{section_name}] cannot read {path}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"[{section_name}] {exc}") from None
+        _, values = files.read(section_name, stream_name, load_measurement_stream_csv)
         try:
             return ThresholdSource(
                 window_size=_get(section, "window", int, required=True),
@@ -252,8 +287,7 @@ def load_scenario(
 
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
-    base_dir = path.parent
-    scenario_section = parser["scenario"]
+    scenario_section = _Section(parser, "scenario")
     epochs = _get(scenario_section, "epochs", int, required=True)
     budget = _get(scenario_section, "measurement_budget", int, required=True)
     duration = _get(scenario_section, "epoch_duration_ms", float, default=100.0)
@@ -262,7 +296,9 @@ def load_scenario(
     if seed_override is not None:
         seed = seed_override
 
-    policies_section = parser["policies"] if parser.has_section("policies") else parser["scenario"]
+    policies_section = (
+        _Section(parser, "policies") if parser.has_section("policies") else scenario_section
+    )
     penalty_policy = _policy(policies_section, "penalty")
     compensation_policy = _policy(policies_section, "compensation")
     actuator = _actuator(parser)
@@ -276,7 +312,7 @@ def load_scenario(
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    trace_cache: dict[Path, dict[str, TraceSource]] = {}
+    files = _InputFiles(path.parent)
     specs: list[ProcessSpec] = []
     for section_name in parser.sections():
         if not section_name.startswith(PROCESS_PREFIX):
@@ -284,7 +320,7 @@ def load_scenario(
         process_id = section_name[len(PROCESS_PREFIX):].strip()
         if not process_id:
             raise ConfigError(f"{path}: empty process id in [{section_name}]")
-        section = parser[section_name]
+        section = _Section(parser, section_name)
         combiner_name = _get(section, "combiner", str, default=Combiner.BOTTLENECK_MIN.value)
         try:
             combiner = Combiner(combiner_name)
@@ -314,7 +350,7 @@ def load_scenario(
             source: VerdictSource = override_traces[process_id]
         else:
             detector_name = _get(section, "detector", str, required=True)
-            source = _detector_source(parser, detector_name, process_id, base_dir, seed, trace_cache)
+            source = _detector_source(parser, detector_name, process_id, seed, files)
         specs.append(ProcessSpec(process_id=process_id, model=model, source=source))
 
     if not specs:

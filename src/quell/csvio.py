@@ -20,15 +20,15 @@ from typing import Iterable, Iterator, Sequence
 
 def read_rows(
     path: Path, header: tuple[str, ...], kind: str
-) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(where, row)`` for each non-blank row after the header.
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, row)`` for each non-blank row after the header.
 
-    ``where`` is ``path:line``: the physical line the row starts on,
-    counting the header as line 1, so a quoted field that spans lines
-    does not shift the rows after it. An empty file (named by ``kind``
-    in the message), a header other than ``header``, or a row whose
-    field count differs from the header's raises ``ValueError``. The
-    file is closed when iteration stops.
+    ``line`` is the physical line the row starts on, counting the header
+    as line 1, so a quoted field that spans lines does not shift the
+    rows after it; a caller names a bad row as ``path:line``. An empty
+    file (named by ``kind`` in the message), a header other than
+    ``header``, or a row whose field count differs from the header's
+    raises ``ValueError``. The file is closed when iteration stops.
     """
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -48,7 +48,7 @@ def read_rows(
                 continue
             if len(row) != width:
                 raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            yield f"{path}:{line}", row
+            yield line, row
 
 
 @contextmanager

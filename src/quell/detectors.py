@@ -18,6 +18,7 @@ the 64-bit output.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -171,6 +172,10 @@ class ThresholdSource:
         object.__setattr__(self, "values", tuple(self.values))
         if self.window_size < 1:
             raise ValueError(f"window size must be >= 1, got {self.window_size}")
+        if not math.isfinite(self.cutoff):
+            raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("measurement values must be finite")
         if self.start_epoch < 0:
             raise ValueError("start epoch must be non-negative")
 
@@ -193,11 +198,14 @@ def next_verdict(source: VerdictSource, epoch: int) -> Verdict:
     return source.verdict_at(epoch)
 
 
-def _parse_verdict(text: str, where: str) -> Verdict:
-    try:
-        return Verdict(text.strip())
-    except ValueError:
-        raise ValueError(f"{where}: verdict must be 'malicious' or 'benign', got {text!r}") from None
+_VERDICTS = {verdict.value: verdict for verdict in Verdict}
+
+
+def _parse_verdict(text: str, path: Path, line: int) -> Verdict:
+    verdict = _VERDICTS.get(text.strip())
+    if verdict is None:
+        raise ValueError(f"{path}:{line}: verdict must be 'malicious' or 'benign', got {text!r}")
+    return verdict
 
 
 def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
@@ -208,20 +216,20 @@ def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
     """
     path = Path(path)
     rows: dict[str, dict[int, Verdict]] = {}
-    for where, row in read_rows(path, TRACE_CSV_HEADER, "trace"):
+    for line, row in read_rows(path, TRACE_CSV_HEADER, "trace"):
         try:
             epoch = int(row[0])
         except ValueError:
-            raise ValueError(f"{where}: epoch must be an integer, got {row[0]!r}") from None
+            raise ValueError(f"{path}:{line}: epoch must be an integer, got {row[0]!r}") from None
         if epoch < 0:
-            raise ValueError(f"{where}: epoch must be non-negative, got {epoch}")
+            raise ValueError(f"{path}:{line}: epoch must be non-negative, got {epoch}")
         process = row[1].strip()
         if not process:
-            raise ValueError(f"{where}: empty process id")
+            raise ValueError(f"{path}:{line}: empty process id")
         per_process = rows.setdefault(process, {})
         if epoch in per_process:
-            raise ValueError(f"{where}: duplicate epoch {epoch} for process {process!r}")
-        per_process[epoch] = _parse_verdict(row[2], where)
+            raise ValueError(f"{path}:{line}: duplicate epoch {epoch} for process {process!r}")
+        per_process[epoch] = _parse_verdict(row[2], path, line)
     if not rows:
         raise ValueError(f"{path}: no trace rows")
     sources: dict[str, TraceSource] = {}
@@ -243,19 +251,21 @@ def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
 def load_measurement_stream_csv(path: str | Path) -> tuple[float, ...]:
     """Read a measurement stream from CSV with the header epoch,value.
 
-    Epochs must be contiguous and start at 0; the returned tuple is
-    indexed by epoch.
+    Epochs must be contiguous and start at 0 and every value must be
+    finite; the returned tuple is indexed by epoch.
     """
     path = Path(path)
     values: dict[int, float] = {}
-    for where, row in read_rows(path, STREAM_CSV_HEADER, "stream"):
+    for line, row in read_rows(path, STREAM_CSV_HEADER, "stream"):
         try:
             epoch = int(row[0])
             value = float(row[1])
         except ValueError:
-            raise ValueError(f"{where}: malformed row {row!r}") from None
+            raise ValueError(f"{path}:{line}: malformed row {row!r}") from None
         if epoch < 0 or epoch in values:
-            raise ValueError(f"{where}: bad or duplicate epoch {epoch}")
+            raise ValueError(f"{path}:{line}: bad or duplicate epoch {epoch}")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{line}: value must be finite, got {row[1]!r}")
         values[epoch] = value
     if not values:
         raise ValueError(f"{path}: no stream rows")

@@ -160,10 +160,10 @@ def load_curve_csv(
     """Read a curve from CSV with the exact header measurements,f1,fpr."""
     path = Path(path)
     points = []
-    for where, row in read_rows(path, CURVE_CSV_HEADER, "curve"):
+    for line, row in read_rows(path, CURVE_CSV_HEADER, "curve"):
         try:
             points.append(CurvePoint(measurements=int(row[0]), f1=float(row[1]), fpr=float(row[2])))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise ValueError(f"{path}:{line}: {exc}") from None
     name = detector_name if detector_name is not None else path.stem
     return EfficacyCurve(tuple(points), detector_name=name, epoch_duration_ms=epoch_duration_ms)

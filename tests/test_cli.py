@@ -327,6 +327,75 @@ class TestCoverageUpFront:
         assert not out.exists()
 
 
+THRESHOLD_INI = """\
+[scenario]
+epochs = 6
+measurement_budget = 10
+
+[process.a]
+base_rate = 100
+response_cpu = proportional
+detector = d
+
+[detector.d]
+kind = threshold
+window = 2
+cutoff = 1.0
+stream = stream.csv
+"""
+
+
+def _threshold_scenario(directory, ini=THRESHOLD_INI, values=("5.0",) * 6):
+    directory.mkdir()
+    rows = "".join(f"{epoch},{value}\n" for epoch, value in enumerate(values))
+    (directory / "stream.csv").write_text("epoch,value\n" + rows)
+    (directory / "scenario.ini").write_text(ini)
+    return directory / "scenario.ini"
+
+
+class TestConfigErrorsBeforeTheRun:
+    """A bad value exits 2 with a message while loading, before any output is made."""
+
+    def _simulate(self, tmp_path, scenario, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("base_rate = 100\nunit = 100%", "error: [process.a] unit: "),
+            ("base_rate = %(missing)s", "error: [process.a] base_rate: "),
+        ],
+    )
+    def test_interpolation_error(self, tmp_path, capsys, line, expected):
+        ini = THRESHOLD_INI.replace("base_rate = 100", line)
+        err = self._simulate(tmp_path, _threshold_scenario(tmp_path / "s", ini), capsys)
+        assert err.startswith(expected)
+
+    def test_nan_cutoff(self, tmp_path, capsys):
+        ini = THRESHOLD_INI.replace("cutoff = 1.0", "cutoff = nan")
+        err = self._simulate(tmp_path, _threshold_scenario(tmp_path / "s", ini), capsys)
+        assert err == "error: [detector.d] cutoff must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "values, line",
+        [
+            (("1.0", "inf", "-inf", "1.0", "1.0", "1.0"), 3),
+            (("1.0", "1.0", "1.0", "nan", "1.0", "1.0"), 5),
+        ],
+    )
+    def test_non_finite_stream_value(self, tmp_path, capsys, values, line):
+        scenario = _threshold_scenario(tmp_path / "s", values=values)
+        err = self._simulate(tmp_path, scenario, capsys)
+        stream = (tmp_path / "s" / "stream.csv").resolve()
+        assert err.startswith(f"error: [detector.d] {stream}:{line}: value must be finite")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, configs_dir):
         executable = shutil.which("quell")

@@ -370,3 +370,131 @@ class TestRejections:
         )
         with pytest.raises(ConfigError, match="no rows for process 'worker'"):
             load_scenario(write_ini(tmp_path, text))
+
+
+class TestInterpolation:
+    """configparser's ``%(key)s`` interpolation, applied to the keys quell reads."""
+
+    def test_reference_to_a_default_key(self, tmp_path):
+        text = "[DEFAULT]\nrate = 4.25\n\n" + MINIMAL.replace(
+            "base_rate = 3.5", "base_rate = %(rate)s"
+        )
+        (spec,) = load_scenario(write_ini(tmp_path, text)).processes
+        assert spec.model.base_rate == 4.25
+
+    def test_reference_to_a_key_in_the_same_section(self, tmp_path):
+        text = MINIMAL.replace("base_rate = 3.5", "rate = 6.5\nbase_rate = %(rate)s")
+        (spec,) = load_scenario(write_ini(tmp_path, text)).processes
+        assert spec.model.base_rate == 6.5
+
+    def test_doubled_percent_is_a_literal_percent(self, tmp_path):
+        text = MINIMAL.replace("base_rate = 3.5", "base_rate = 3.5\nunit = 50%% CPU")
+        (spec,) = load_scenario(write_ini(tmp_path, text)).processes
+        assert spec.model.unit_label == "50% CPU"
+
+    def test_stray_percent_in_an_unread_key_is_harmless(self, tmp_path):
+        text = MINIMAL.replace("base_rate = 3.5", "base_rate = 3.5\nnote = 100%")
+        (spec,) = load_scenario(write_ini(tmp_path, text)).processes
+        assert spec.model.base_rate == 3.5
+
+    def test_default_detector_reaches_every_process(self, tmp_path):
+        processes = MINIMAL.replace("detector = flagger\n", "") + (
+            "\n[process.second]\nbase_rate = 2.0\n"
+        )
+        text = "[DEFAULT]\ndetector = flagger\n\n" + processes
+        scenario = load_scenario(write_ini(tmp_path, text))
+        assert [spec.process_id for spec in scenario.processes] == ["second", "worker"]
+        for spec in scenario.processes:
+            assert spec.source == StochasticSource(1.0, 0.0, GroundTruth.ATTACK, spec.source.seed)
+
+
+class TestInputFilesReadOnce:
+    """Detectors that share a file, however its path is spelled, share one read."""
+
+    STREAM_S = "epoch,value\n" + "".join(f"{e},{e * 0.5}\n" for e in range(6))
+    STREAM_T = "epoch,value\n" + "".join(f"{e},{5.0 - e}\n" for e in range(6))
+    TRACE = "epoch,process,verdict\n" + "".join(
+        f"{e},{p},{'malicious' if e % 2 else 'benign'}\n" for p in ("e", "f") for e in range(1, 6)
+    )
+    DETECTORS = {
+        "a": "kind = threshold\nwindow = 2\ncutoff = 1.0\nstream = s.csv\n",
+        "b": "kind = threshold\nwindow = 3\ncutoff = 0.5\nstream = ./s.csv\n",
+        "c": "kind = threshold\nwindow = 1\ncutoff = 2.0\nstream = t.csv\n",
+        "d": "kind = threshold\nwindow = 4\ncutoff = 3.0\nstream = ./t.csv\n",
+        "e": "kind = trace\nfile = tr.csv\n",
+        "f": "kind = trace\nfile = ./tr.csv\n",
+    }
+
+    def _scenario(self, tmp_path) -> str:
+        (tmp_path / "s.csv").write_text(self.STREAM_S)
+        (tmp_path / "t.csv").write_text(self.STREAM_T)
+        (tmp_path / "tr.csv").write_text(self.TRACE)
+        text = "[scenario]\nepochs = 5\nmeasurement_budget = 10\n"
+        for name, detector in self.DETECTORS.items():
+            text += f"\n[process.{name}]\nbase_rate = 1.0\ndetector = {name}\n"
+            text += f"\n[detector.{name}]\n{detector}"
+        return write_ini(tmp_path, text)
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        import quell.config
+
+        calls = []
+        original = getattr(quell.config, name)
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(quell.config, name, counted)
+        return calls
+
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        from quell.detectors import load_measurement_stream_csv, load_trace_csv
+
+        path = self._scenario(tmp_path)
+        stream_calls = self._count_calls(monkeypatch, "load_measurement_stream_csv")
+        trace_calls = self._count_calls(monkeypatch, "load_trace_csv")
+        sources = {spec.process_id: spec.source for spec in load_scenario(path).processes}
+        assert len(stream_calls) == 2
+        assert len(trace_calls) == 1
+
+        s_values = load_measurement_stream_csv(tmp_path / "s.csv")
+        t_values = load_measurement_stream_csv(tmp_path / "t.csv")
+        traces = load_trace_csv(tmp_path / "tr.csv")
+        assert sources == {
+            "a": ThresholdSource(window_size=2, cutoff=1.0, values=s_values),
+            "b": ThresholdSource(window_size=3, cutoff=0.5, values=s_values),
+            "c": ThresholdSource(window_size=1, cutoff=2.0, values=t_values),
+            "d": ThresholdSource(window_size=4, cutoff=3.0, values=t_values),
+            "e": traces["e"],
+            "f": traces["f"],
+        }
+
+    @pytest.mark.parametrize(
+        "stream_text, message",
+        [
+            (None, r"^\[detector\.a\] cannot read .*s\.csv"),
+            ("epoch,value\n0,1.0\n1,fast\n", r"^\[detector\.a\] .*s\.csv:3: malformed row"),
+        ],
+    )
+    def test_a_bad_shared_file_names_the_first_detector(
+        self, tmp_path, stream_text, message
+    ):
+        path = self._scenario(tmp_path)
+        if stream_text is None:
+            (tmp_path / "s.csv").unlink()
+        else:
+            (tmp_path / "s.csv").write_text(stream_text)
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
+
+    def test_a_trace_named_as_a_stream_is_read_as_a_stream(self, tmp_path):
+        path = self._scenario(tmp_path)
+        text = path.read_text() + (
+            "\n[process.g]\nbase_rate = 1.0\ndetector = g\n"
+            "\n[detector.g]\nkind = threshold\nwindow = 1\ncutoff = 1.0\nstream = tr.csv\n"
+        )
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^\[detector\.g\] .*tr\.csv: expected header"):
+            load_scenario(path)

@@ -127,6 +127,16 @@ class TestThresholdSource:
         with pytest.raises(ValueError):
             ThresholdSource(0, 5.0, (1.0,))
 
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite"):
+            ThresholdSource(2, cutoff, (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            ThresholdSource(2, 5.0, (1.0, bad, 2.0))
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -221,4 +231,11 @@ class TestLoadMeasurementStreamCsv:
         bad = tmp_path / "val.csv"
         bad.write_text("epoch,value\n0,fast\n")
         with pytest.raises(ValueError, match="malformed"):
+            load_measurement_stream_csv(bad)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " Infinity ", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, text):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(f"epoch,value\n0,1.0\n1,{text}\n")
+        with pytest.raises(ValueError, match=rf"^{bad}:3: value must be finite, got '{text}'$"):
             load_measurement_stream_csv(bad)
