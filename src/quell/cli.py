@@ -139,9 +139,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_supervise(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, seed_override=args.seed)
+    if args.fake_adapter:
+        adapter, handles, pace_seconds = FakeHostAdapter(), None, 0.0
+    else:
+        if len(scenario.processes) != 1:
+            raise ConfigError("--pid supervision needs exactly one [process.<id>] section")
+        adapter = LinuxSignalAdapter()
+        handles = {scenario.processes[0].process_id: adapter.attach(args.pid)}
+        pace_seconds = scenario.epoch_duration_ms / 1000.0
     out_dir = _prepare_out(args.out)
-    stop = threading.Event()
 
+    stop = threading.Event()
     previous_handlers = {}
     for signo in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -149,30 +157,17 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         except ValueError:  # not the main thread
             pass
     try:
-        if args.fake_adapter:
-            adapter = FakeHostAdapter()
-            reports = supervise(scenario, adapter, stop=stop)
-            adapter.export_calls_csv(out_dir / "calls.csv")
-        else:
-            if len(scenario.processes) != 1:
-                raise ConfigError("--pid supervision needs exactly one [process.<id>] section")
-            adapter = LinuxSignalAdapter()
-            process_id = scenario.processes[0].process_id
-            try:
-                handle = adapter.attach(args.pid)
-                reports = supervise(
-                    scenario,
-                    adapter,
-                    handles={process_id: handle},
-                    pace_seconds=scenario.epoch_duration_ms / 1000.0,
-                    stop=stop,
-                )
-            finally:
-                adapter.close()
+        reports = supervise(
+            scenario, adapter, handles=handles, pace_seconds=pace_seconds, stop=stop
+        )
     finally:
         for signo, handler in previous_handlers.items():
             signal.signal(signo, handler)
+        if isinstance(adapter, LinuxSignalAdapter):
+            adapter.close()
 
+    if args.fake_adapter:
+        adapter.export_calls_csv(out_dir / "calls.csv")
     rows = (report.csv_row() for report in reports)
     write_rows(out_dir / "supervision.csv", SUPERVISION_CSV_HEADER, rows)
     for report in reports:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .actuation import DEFAULT_SHARES, ResourceShares
-from .detectors import next_verdict
+from .detectors import VerdictSource, next_verdict
 from .hostadapter import HostAdapter, ProcessHandle, StaleHandleError
 from .simulation import Scenario, respond
 from .threat import LifecycleState, ThreatLedger, mark_completed
@@ -31,6 +31,9 @@ __all__ = ["SupervisionReport", "supervise", "SUPERVISION_CSV_HEADER"]
 SUPERVISION_CSV_HEADER = ("process", "final_state", "epochs_run", "exit_reason", "cpu", "mem", "net", "fs")
 
 logger = logging.getLogger(__name__)
+
+# A module-level alias reads faster than the enum class attribute in the loop.
+_TERMINATED = LifecycleState.TERMINATED
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,12 @@ class SupervisionReport:
 
 @dataclass
 class _Supervised:
-    spec_index: int
+    process_id: str
+    source: VerdictSource
     handle: ProcessHandle
     ledger: ThreatLedger
     shares: ResourceShares
     epochs_run: int = 0
-    done: bool = False
 
 
 def supervise(
@@ -79,70 +82,60 @@ def supervise(
     sleeps between epochs for real processes; leave it at 0.0 for fakes.
     ``stop`` allows a signal handler to end the loop cleanly.
     """
-    supervised: dict[str, _Supervised] = {}
-    for index, spec in enumerate(scenario.processes):
+    supervised = []
+    for spec in scenario.processes:
         if handles is not None and spec.process_id in handles:
             handle = handles[spec.process_id]
         else:
             handle = adapter.spawn(spec.process_id)  # type: ignore[attr-defined]
-        supervised[spec.process_id] = _Supervised(
-            spec_index=index, handle=handle, ledger=ThreatLedger(), shares=DEFAULT_SHARES
+        supervised.append(
+            _Supervised(spec.process_id, spec.source, handle, ThreatLedger(), DEFAULT_SHARES)
         )
 
+    live = supervised
     for epoch in range(1, scenario.epochs):
         if stop is not None and stop.is_set():
             logger.info("stop requested at epoch %d", epoch)
             break
-        live = [(pid, s) for pid, s in supervised.items() if not s.done]
-        if not live:
-            break
-        for process_id, state in live:
-            spec = scenario.processes[state.spec_index]
+        for state in live:
             state.epochs_run = epoch
             if not adapter.poll(state.handle):
                 state.ledger = mark_completed(state.ledger)
-                state.done = True
-                logger.info("%s exited on its own at epoch %d", process_id, epoch)
+                logger.info("%s exited on its own at epoch %d", state.process_id, epoch)
                 continue
-            verdict = next_verdict(spec.source, epoch)
-            state.ledger, new_shares = respond(state.ledger, state.shares, verdict, scenario)
-            if state.ledger.state is LifecycleState.TERMINATED:
+            verdict = next_verdict(state.source, epoch)
+            state.ledger, shares = respond(state.ledger, state.shares, verdict, scenario)
+            if state.ledger.state is _TERMINATED:
                 adapter.terminate(state.handle)
-                state.done = True
-                continue
-            try:
-                _apply_if_changed(adapter, state, new_shares)
-            except StaleHandleError:
-                state.ledger = mark_completed(state.ledger)
-                state.done = True
-                logger.info("%s exited before its shares applied at epoch %d", process_id, epoch)
+            elif shares is not state.shares and not shares == state.shares:
+                try:
+                    ack = adapter.apply_shares(state.handle, shares)
+                except StaleHandleError:
+                    state.ledger = mark_completed(state.ledger)
+                    logger.info(
+                        "%s exited before its shares applied at epoch %d", state.process_id, epoch
+                    )
+                    continue
+                if ack.unsupported:
+                    logger.warning(
+                        "%s: resources not limitable on this host: %s",
+                        state.handle.ident,
+                        ", ".join(ack.unsupported),
+                    )
+                state.shares = shares
+        live = [state for state in live if state.ledger.state is not _TERMINATED]
+        if not live:
+            break
         if pace_seconds > 0:
             time.sleep(pace_seconds)
 
-    reports = []
-    for process_id in sorted(supervised):
-        state = supervised[process_id]
-        reports.append(
-            SupervisionReport(
-                process_id=process_id,
-                final_state=state.ledger.state.value,
-                epochs_run=state.epochs_run,
-                exit_reason=state.ledger.exit_reason,
-                shares=state.shares,
-            )
+    return tuple(
+        SupervisionReport(
+            process_id=state.process_id,
+            final_state=state.ledger.state.value,
+            epochs_run=state.epochs_run,
+            exit_reason=state.ledger.exit_reason,
+            shares=state.shares,
         )
-    return tuple(reports)
-
-
-def _apply_if_changed(adapter: HostAdapter, state: _Supervised, new_shares: ResourceShares) -> None:
-    """Push shares to the adapter only when they changed."""
-    if new_shares == state.shares:
-        return
-    ack = adapter.apply_shares(state.handle, new_shares)
-    if ack.unsupported:
-        logger.warning(
-            "%s: resources not limitable on this host: %s",
-            state.handle.ident,
-            ", ".join(ack.unsupported),
-        )
-    state.shares = new_shares
+        for state in sorted(supervised, key=lambda state: state.process_id)
+    )
