@@ -6,7 +6,13 @@ process; otherwise the new shares go to the adapter only when they
 changed, so the adapter sees exactly one apply call per share-changing
 epoch and none otherwise. A process that disappears on its own, before
 the poll or between the poll and the apply, is recorded as completed
-and left alone.
+and left alone. A process is finished exactly when its ledger is
+terminated, and the loop ends once every process is finished.
+
+Resources the host cannot limit are logged once per run, at the first
+apply that reports them. Paced runs start epoch ``k + 1`` at
+``start + k * pace`` on the monotonic clock, so a slow epoch does not
+delay the ones after it, and nothing sleeps after the last epoch.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ def supervise(
 
     ``handles`` maps process ids to pre-attached handles; without it the
     adapter must offer ``spawn`` (the fake adapter does). ``pace_seconds``
-    sleeps between epochs for real processes; leave it at 0.0 for fakes.
+    spaces epoch starts for real processes; leave it at 0.0 for fakes.
     ``stop`` allows a signal handler to end the loop cleanly.
     """
     supervised = []
@@ -93,7 +99,13 @@ def supervise(
         )
 
     live = supervised
+    warned = False
+    start = time.monotonic()
     for epoch in range(1, scenario.epochs):
+        if pace_seconds > 0:
+            delay = start + (epoch - 1) * pace_seconds - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
         if stop is not None and stop.is_set():
             logger.info("stop requested at epoch %d", epoch)
             break
@@ -116,7 +128,8 @@ def supervise(
                         "%s exited before its shares applied at epoch %d", state.process_id, epoch
                     )
                     continue
-                if ack.unsupported:
+                if ack.unsupported and not warned:
+                    warned = True
                     logger.warning(
                         "%s: resources not limitable on this host: %s",
                         state.handle.ident,
@@ -126,8 +139,6 @@ def supervise(
         live = [state for state in live if state.ledger.state is not _TERMINATED]
         if not live:
             break
-        if pace_seconds > 0:
-            time.sleep(pace_seconds)
 
     return tuple(
         SupervisionReport(

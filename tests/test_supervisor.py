@@ -310,3 +310,65 @@ class TestReportShape:
     def test_header_matches_row_width(self):
         report = SupervisionReport("p", "normal", 1, None, ResourceShares())
         assert len(SUPERVISION_CSV_HEADER) == len(report.csv_row())
+
+
+class TestWarnOncePerRun:
+    def test_three_unsupported_applies_log_one_warning(self, caplog):
+        adapter = FakeHostAdapter(unsupported=("memory", "network"))
+        scenario = make_scenario([cpu_spec("worker", [M] * 3)], epochs=4, budget=10)
+        with caplog.at_level(logging.WARNING, logger="quell.supervisor"):
+            supervise(scenario, adapter)
+        assert [c.call for c in adapter.calls].count("apply_shares") == 3
+        warnings = [r for r in caplog.records if r.name == "quell.supervisor"]
+        assert [r.getMessage() for r in warnings] == [
+            "worker: resources not limitable on this host: memory, network"
+        ]
+
+
+class FakeClock:
+    """Monotonic time that moves only by work done and sleeps requested."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class TestDeadlinePacing:
+    PACE = 0.1
+
+    def run(self, monkeypatch, verdicts, epochs, budget, work):
+        """Supervise one process whose every poll costs the next ``work`` time."""
+        clock = FakeClock()
+        monkeypatch.setattr("quell.supervisor.time", clock)
+        work = iter(work)
+
+        class BusyHost(FakeHostAdapter):
+            def poll(self, handle):
+                clock.now += next(work)
+                return super().poll(handle)
+
+        scenario = make_scenario([cpu_spec("worker", verdicts)], epochs=epochs, budget=budget)
+        (report,) = supervise(scenario, BusyHost(), pace_seconds=self.PACE)
+        return clock, report
+
+    def test_a_slow_epoch_does_not_delay_the_later_deadlines(self, monkeypatch):
+        # Epoch k + 1 starts at 1000.0 + k * 0.1. Epoch 3's work runs past
+        # the starts of epochs 4 and 5, which then start at once; epoch 6
+        # is back on its deadline.
+        work = [0.03, 0.01, 0.25, 0.02, 0.01, 0.01]
+        clock, report = self.run(monkeypatch, [B] * 6, epochs=7, budget=10, work=work)
+        assert report.epochs_run == 6
+        assert clock.sleeps == pytest.approx([0.07, 0.09, 0.02])
+        assert clock.now == pytest.approx(1000.51)
+
+    def test_nothing_sleeps_after_the_last_live_process(self, monkeypatch):
+        clock, report = self.run(monkeypatch, [M, M], epochs=10, budget=1, work=[0.01] * 2)
+        assert (report.final_state, report.epochs_run) == ("terminated", 2)
+        assert clock.sleeps == pytest.approx([0.09])
