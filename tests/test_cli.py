@@ -298,6 +298,36 @@ class TestSupervisePid:
         assert code == EXIT_CONFIG
         assert "exactly one" in capsys.readouterr().err
 
+    def test_two_processes_are_rejected_before_the_output_directory(
+        self, tmp_path, quick_scenario, sleeper, capsys
+    ):
+        two = tmp_path / "two.ini"
+        two.write_text(
+            quick_scenario.read_text()
+            + "\n[process.other]\nbase_rate = 1.0\ndetector = flagger\n"
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["supervise", "--scenario", str(two), "--out", str(out), "--pid", str(sleeper.pid)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --pid supervision needs exactly one [process.<id>] section\n"
+        )
+        assert not out.exists()
+        assert sleeper.poll() is None
+
+    def test_dead_pid_is_rejected_before_the_output_directory(self, tmp_path, quick_scenario, capsys):
+        child = subprocess.Popen(["true"])
+        child.wait()  # reaped: the pid names no process now
+        out = tmp_path / "out"
+        code = main(
+            ["supervise", "--scenario", str(quick_scenario), "--out", str(out), "--pid", str(child.pid)]
+        )
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: no such process: {child.pid}\n"
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_no_subcommand_exits(self):
@@ -394,6 +424,28 @@ class TestConfigErrorsBeforeTheRun:
         err = self._simulate(tmp_path, scenario, capsys)
         stream = (tmp_path / "s" / "stream.csv").resolve()
         assert err.startswith(f"error: [detector.d] {stream}:{line}: value must be finite")
+
+    def test_non_utf8_scenario_names_its_file(self, tmp_path, capsys):
+        scenario = _threshold_scenario(tmp_path / "s")
+        scenario.write_bytes(scenario.read_bytes().replace(b"[process.a]", b"; caf\xe9\n[process.a]"))
+        err = self._simulate(tmp_path, scenario, capsys)
+        assert err == f"error: {scenario}:5: not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+
+    def test_non_utf8_stream_names_its_line(self, tmp_path, capsys):
+        scenario = _threshold_scenario(tmp_path / "s")
+        stream = (tmp_path / "s" / "stream.csv").resolve()
+        stream.write_bytes(stream.read_bytes().replace(b"2,5.0", b"2,5\xff.0"))
+        err = self._simulate(tmp_path, scenario, capsys)
+        assert err == f"error: [detector.d] {stream}:4: not UTF-8: byte 0xff (invalid start byte)\n"
+
+    def test_non_utf8_curve_names_its_line(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(DIPPING_CURVE.encode().replace(b"20,0.95", b"20,0.9\xff"))
+        code = main(["plan", "--curve", str(curve), "--f1", "0.9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {curve}:5: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
 class TestConsoleScript:
