@@ -38,6 +38,7 @@ import configparser
 from pathlib import Path
 
 from .actuation import RESOURCES, ActuationMode, ActuatorPolicy
+from .csvio import describe_decode_error
 from .detectors import (
     GroundTruth,
     StochasticSource,
@@ -282,6 +283,8 @@ def load_scenario(
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(describe_decode_error(path, exc)) from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

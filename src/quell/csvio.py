@@ -3,10 +3,10 @@
 Input files (verdict traces, measurement streams, efficacy curves) are
 UTF-8 with a fixed header, compared after stripping each cell. Blank and
 whitespace-only rows are skipped, every other row has one field per
-header column, and every row error names ``path:line``. Output files
-(``log.csv``, ``slowdown.csv``, ``calls.csv``, ``supervision.csv``) are
-UTF-8 with LF line endings and minimal quoting, written to a path or to
-an open text stream.
+header column, and every row error names ``path:line``, as does the
+first byte that is not UTF-8. Output files (``log.csv``, ``slowdown.csv``,
+``calls.csv``, ``supervision.csv``) are UTF-8 with LF line endings and
+minimal quoting, written to a path or to an open text stream.
 """
 
 from __future__ import annotations
@@ -31,24 +31,44 @@ def read_rows(
     raises ``ValueError``. The file is closed when iteration stops.
     """
     with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty {kind} file") from None
-        if tuple(cell.strip() for cell in first) != header:
-            raise ValueError(
-                f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
-        width = len(header)
-        end = reader.line_num
-        for row in reader:
-            line, end = end + 1, reader.line_num
-            if not "".join(row).strip():
-                continue
-            if len(row) != width:
-                raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            yield line, row
+            reader = csv.reader(handle)
+            try:
+                first = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty {kind} file") from None
+            if tuple(cell.strip() for cell in first) != header:
+                raise ValueError(
+                    f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
+                )
+            width = len(header)
+            end = reader.line_num
+            for row in reader:
+                line, end = end + 1, reader.line_num
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                yield line, row
+        except UnicodeDecodeError as exc:
+            raise ValueError(describe_decode_error(path, exc)) from None
+
+
+def describe_decode_error(path: Path, exc: UnicodeDecodeError) -> str:
+    """Name ``path:line`` and the first byte of ``path`` that is not UTF-8.
+
+    A text decoder reads a chunk ahead of the lines it hands out, so
+    ``exc`` places the byte only within that chunk; the line is counted
+    from the file's bytes instead, ending lines where universal newlines do.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        head = data[: first.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"{path}:{line}: not UTF-8: byte 0x{data[first.start]:02x} ({first.reason})"
+    return f"{path}: {exc}"  # the file changed after it failed to decode
 
 
 @contextmanager

@@ -54,6 +54,33 @@ class TestPhysicalLineNumbers:
         assert error(load_measurement_stream_csv, path) == f"{path}:6: malformed row ['2', 'x']"
 
 
+class TestUndecodableBytes:
+    """The first byte that is not UTF-8 is named by its file and physical line."""
+
+    def test_line_beyond_the_decoders_first_chunk(self, tmp_path):
+        rows = [f"{epoch},1.0\n".encode() for epoch in range(3000)]
+        rows[2497] = b"2497,1\xff.0\n"
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"epoch,value\n" + b"".join(rows))
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:2499: not UTF-8: byte 0xff (invalid start byte)"
+        )
+
+    def test_cr_crlf_and_lf_each_end_one_line(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"epoch,process,verdict\r0,p,benign\r\n1,p,benign\n2,p,b\xe9nign\n")
+        assert error(load_trace_csv, path) == (
+            f"{path}:4: not UTF-8: byte 0xe9 (invalid continuation byte)"
+        )
+
+    def test_bad_byte_in_the_header(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"epoch,\xffvalue\n0,1.0\n")
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:1: not UTF-8: byte 0xff (invalid start byte)"
+        )
+
+
 # -- log.csv writer ----------------------------------------------------------
 
 ROUNDING_EDGES = [5e-7, 0.0000005, 4.999999e-7, 1.5e-6, 0.9999995, 100.0, 1.0, 0.0, -0.0]
