@@ -19,7 +19,6 @@ the 64-bit output.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -187,7 +186,7 @@ class ThresholdSource:
                 f"{self.start_epoch + len(self.values)}), requested {epoch}"
             )
         window = self.values[max(0, index - self.window_size + 1) : index + 1]
-        return Verdict.MALICIOUS if statistics.fmean(window) > self.cutoff else Verdict.BENIGN
+        return Verdict.MALICIOUS if math.fsum(window) / len(window) > self.cutoff else Verdict.BENIGN
 
 
 VerdictSource = Union[TraceSource, StochasticSource, ThresholdSource]

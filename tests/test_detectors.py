@@ -1,7 +1,9 @@
 """Verdict sources: replay, seeded coin flips, and windowed thresholds."""
 
+import statistics
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quell.detectors import (
@@ -136,6 +138,19 @@ class TestThresholdSource:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="values must be finite"):
             ThresholdSource(2, 5.0, (1.0, bad, 2.0))
+
+    @given(
+        values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+        window=st.integers(1, 8),
+        cutoff=st.floats(-1e300, 1e300),
+    )
+    # A plain left-to-right sum loses the 1.0 here and gets the verdict wrong.
+    @example(values=[1e16, 1.0, -1e16], window=3, cutoff=0.0)
+    def test_verdicts_match_the_statistics_mean(self, values, window, cutoff):
+        source = ThresholdSource(window, cutoff, tuple(values))
+        for epoch in range(len(values)):
+            mean = statistics.fmean(values[max(0, epoch - window + 1) : epoch + 1])
+            assert source.verdict_at(epoch) is (M if mean > cutoff else B)
 
 
 class TestDeriveSeed:

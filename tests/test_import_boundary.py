@@ -24,3 +24,11 @@ def test_only_csvio_imports_csv():
         path.name for path in PACKAGE.glob("*.py") if "csv" in imported_modules(path)
     )
     assert importers == ["csvio.py"]
+
+
+def test_no_module_imports_statistics():
+    # Its import costs every CLI start a few ms; math.fsum gives the same mean.
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if "statistics" in imported_modules(path)
+    )
+    assert importers == []
