@@ -3,7 +3,8 @@
 import statistics
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quell.detectors import (
