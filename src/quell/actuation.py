@@ -23,6 +23,15 @@ Values are validated when they are constructed: shares reject anything
 outside (0, 1] (NaN and infinities included), and a policy checks its
 step, targets and floors once. ``actuate`` builds only from valid
 shares and policies and re-checks just the floor condition it relies on.
+
+Every share-changing epoch builds new shares, so their constructor is
+written by hand: it validates, then fills the instance dict field by
+field. The frozen dataclass's generated one sets each field through
+``object.__setattr__``, which costs about twice as much. Filling the
+existing dict rather than assigning a new one keeps the instances'
+shared-key dicts. ``_move`` reads the actuation mode's member through a
+module-level alias, because a read through an ``Enum`` class takes its
+metaclass's slow ``__getattr__`` path.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ __all__ = [
 RESOURCES = ("cpu", "memory", "network", "filesystem")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResourceShares:
     """Fraction of the attach-time allotment per resource, each in (0, 1]."""
 
@@ -57,20 +66,26 @@ class ResourceShares:
     network: float = 1.0
     filesystem: float = 1.0
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, cpu: float = 1.0, memory: float = 1.0, network: float = 1.0, filesystem: float = 1.0
+    ) -> None:
         # One comparison on the common, valid path; it is false for NaN
         # and both infinities. The loop runs only to name what failed, so
         # each term here must test the same range as the loop below.
         if not (
-            0.0 < self.cpu <= 1.0
-            and 0.0 < self.memory <= 1.0
-            and 0.0 < self.network <= 1.0
-            and 0.0 < self.filesystem <= 1.0
+            0.0 < cpu <= 1.0
+            and 0.0 < memory <= 1.0
+            and 0.0 < network <= 1.0
+            and 0.0 < filesystem <= 1.0
         ):
-            for name in RESOURCES:
-                value = getattr(self, name)
+            for name, value in zip(RESOURCES, (cpu, memory, network, filesystem)):
                 if not 0.0 < value <= 1.0:
                     raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
+        fields = self.__dict__
+        fields["cpu"] = cpu
+        fields["memory"] = memory
+        fields["network"] = network
+        fields["filesystem"] = filesystem
 
     def get(self, resource: str) -> float:
         if resource not in RESOURCES:
@@ -84,6 +99,9 @@ DEFAULT_SHARES = ResourceShares()
 class ActuationMode(Enum):
     ADDITIVE = "additive"
     MULTIPLICATIVE = "multiplicative"
+
+
+_ADDITIVE = ActuationMode.ADDITIVE
 
 
 @dataclass(frozen=True)
@@ -135,13 +153,13 @@ class ActuatorPolicy:
 
 def _move(share: float, delta: float, policy: ActuatorPolicy, floor: float) -> float:
     if delta > 0.0:
-        if policy.mode is ActuationMode.ADDITIVE:
+        if policy.mode is _ADDITIVE:
             moved = share - policy.throttle_step * delta
         else:
             moved = share * (1.0 - policy.throttle_step) ** delta
         return max(floor, moved)
     rise = -delta
-    if policy.mode is ActuationMode.ADDITIVE:
+    if policy.mode is _ADDITIVE:
         moved = share + policy.throttle_step * rise
     else:
         moved = share * (1.0 + policy.throttle_step) ** rise

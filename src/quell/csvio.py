@@ -28,30 +28,47 @@ def read_rows(
     rows after it; a caller names a bad row as ``path:line``. An empty
     file (named by ``kind`` in the message), a header other than
     ``header``, or a row whose field count differs from the header's
-    raises ``ValueError``. The file is closed when iteration stops.
+    raises ``ValueError``, as does the row that reaches the first byte
+    that is not UTF-8. Every row before that one is still yielded, so
+    the first error in line order is the one raised, whether the caller
+    or this reader finds it. The file is read when iteration starts.
     """
-    with path.open(encoding="utf-8", newline="") as handle:
-        try:
-            reader = csv.reader(handle)
-            try:
-                first = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty {kind} file") from None
-            if tuple(cell.strip() for cell in first) != header:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+        bad_line, bad_message = 0, ""
+    except UnicodeDecodeError as exc:
+        # Parse past the bad byte as a stand-in character and stop at the
+        # row that reaches its line.
+        text = data.decode("utf-8", "surrogateescape")
+        bad_line, bad_message = _name_bad_byte(path, data, exc)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(header)
+    end = 0
+    for row in reader:
+        line, end = end + 1, reader.line_num
+        if bad_line and end >= bad_line:
+            raise ValueError(bad_message)
+        if line == 1:
+            if tuple(cell.strip() for cell in row) != header:
                 raise ValueError(
-                    f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
+                    f"{path}: expected header {','.join(header)!r}, got {','.join(row)!r}"
                 )
-            width = len(header)
-            end = reader.line_num
-            for row in reader:
-                line, end = end + 1, reader.line_num
-                if not "".join(row).strip():
-                    continue
-                if len(row) != width:
-                    raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-                yield line, row
-        except UnicodeDecodeError as exc:
-            raise ValueError(describe_decode_error(path, exc)) from None
+            continue
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+        yield line, row
+    if not end:
+        raise ValueError(f"{path}: empty {kind} file")
+
+
+def _name_bad_byte(path: Path, data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
+    """The line of the byte ``exc`` names in ``data``, and the message naming it."""
+    head = data[: exc.start]
+    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return line, f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
 
 
 def describe_decode_error(path: Path, exc: UnicodeDecodeError) -> str:
@@ -65,9 +82,7 @@ def describe_decode_error(path: Path, exc: UnicodeDecodeError) -> str:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as first:
-        head = data[: first.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return f"{path}:{line}: not UTF-8: byte 0x{data[first.start]:02x} ({first.reason})"
+        return _name_bad_byte(path, data, first)[1]
     return f"{path}: {exc}"  # the file changed after it failed to decode
 
 

@@ -62,6 +62,12 @@ class GroundTruth(Enum):
     BENIGN = "benign"
 
 
+# Module-level aliases read faster than members through an Enum class.
+_ATTACK = GroundTruth.ATTACK
+_MALICIOUS = Verdict.MALICIOUS
+_BENIGN = Verdict.BENIGN
+
+
 def _splitmix64(seed: int, index: int) -> int:
     """The index-th output of a SplitMix64 stream seeded with ``seed``."""
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
@@ -145,12 +151,12 @@ class StochasticSource:
     def verdict_at(self, epoch: int) -> Verdict:
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
-        if self.ground_truth is GroundTruth.ATTACK:
+        if self.ground_truth is _ATTACK:
             probability = self.true_positive_rate
         else:
             probability = self.false_positive_rate
         draw = _unit_interval(_splitmix64(self.seed, epoch))
-        return Verdict.MALICIOUS if draw < probability else Verdict.BENIGN
+        return _MALICIOUS if draw < probability else _BENIGN
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ class ThresholdSource:
                 f"{self.start_epoch + len(self.values)}), requested {epoch}"
             )
         window = self.values[max(0, index - self.window_size + 1) : index + 1]
-        return Verdict.MALICIOUS if math.fsum(window) / len(window) > self.cutoff else Verdict.BENIGN
+        return _MALICIOUS if math.fsum(window) / len(window) > self.cutoff else _BENIGN
 
 
 VerdictSource = Union[TraceSource, StochasticSource, ThresholdSource]

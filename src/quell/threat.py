@@ -36,6 +36,15 @@ count. The steps build only from valid ledgers and bounded policies, so
 they do not re-check what a ledger already guarantees; ``assess`` is
 the checked form of the same growth rule, for a score that does not
 come from a ledger.
+
+Every stepped epoch builds a ledger, so the constructor is written by
+hand: it validates, then fills the instance dict field by field. The
+frozen dataclass's generated one sets each field through
+``object.__setattr__``, which costs more than twice as much. Filling the
+existing dict rather than assigning a new one keeps the instances'
+shared-key dicts. The per-epoch functions read enum members through
+module-level aliases, because a read through an ``Enum`` class takes
+its metaclass's slow ``__getattr__`` path.
 """
 
 from __future__ import annotations
@@ -86,6 +95,16 @@ class GrowthFamily(Enum):
     EXPONENTIAL = "exponential"
 
 
+# Module-level aliases for the members the per-epoch functions read.
+_MALICIOUS = Verdict.MALICIOUS
+_NORMAL = LifecycleState.NORMAL
+_SUSPICIOUS = LifecycleState.SUSPICIOUS
+_TERMINABLE = LifecycleState.TERMINABLE
+_TERMINATED = LifecycleState.TERMINATED
+_INCREMENTAL = GrowthFamily.INCREMENTAL
+_LINEAR = GrowthFamily.LINEAR
+
+
 def clamp(value: float) -> float:
     """Clamp a finite score into [0, 100].
 
@@ -93,6 +112,10 @@ def clamp(value: float) -> float:
     every producer of scores in this module is bounded, so NaN or
     infinity means the caller fed garbage in.
     """
+    # In range already: the comparison is false for NaN, both
+    # infinities, zero and -0.0, which the checked path handles.
+    if 0.0 < value <= SCORE_CEILING:
+        return float(value)
     if not math.isfinite(value):
         raise ValueError(f"score must be finite, got {value!r}")
     return max(0.0, min(float(value), SCORE_CEILING))
@@ -137,9 +160,10 @@ class AssessmentPolicy:
 
     def grow(self, previous: float, epoch: int) -> float:
         """Raw growth before clamping."""
-        if self.family is GrowthFamily.INCREMENTAL:
+        family = self.family
+        if family is _INCREMENTAL:
             return previous + 1.0
-        if self.family is GrowthFamily.LINEAR:
+        if family is _LINEAR:
             return self.linear_a * previous + self.linear_b
         try:
             scaled = math.ldexp(previous, epoch)
@@ -151,7 +175,7 @@ class AssessmentPolicy:
 
 def _check_score(value: float, name: str) -> None:
     # The range comparison is false for NaN and both infinities.
-    # ``ThreatLedger.__post_init__`` inlines the same range for speed.
+    # ``ThreatLedger.__init__`` inlines the same range for speed.
     if not 0.0 <= value <= SCORE_CEILING:
         raise ValueError(f"{name} must lie in [0, {SCORE_CEILING:g}], got {value!r}")
 
@@ -175,7 +199,7 @@ def assess(policy: AssessmentPolicy, previous: float, epoch: int) -> float:
     return clamp(policy.grow(previous, epoch))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThreatLedger:
     """Scoring state for one supervised process.
 
@@ -187,26 +211,43 @@ class ThreatLedger:
     penalty: float = 0.0
     compensation: float = 0.0
     threat_index: float = 0.0
-    state: LifecycleState = LifecycleState.NORMAL
+    state: LifecycleState = _NORMAL
     epoch: int = 0
     measurements: int = 0
     exit_reason: str | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        penalty: float = 0.0,
+        compensation: float = 0.0,
+        threat_index: float = 0.0,
+        state: LifecycleState = _NORMAL,
+        epoch: int = 0,
+        measurements: int = 0,
+        exit_reason: str | None = None,
+    ) -> None:
         # One comparison on the common, valid path; the per-field checks
         # run only to name what failed, so each score term here must test
         # the same range as ``_check_score``.
         if not (
-            0.0 <= self.penalty <= SCORE_CEILING
-            and 0.0 <= self.compensation <= SCORE_CEILING
-            and 0.0 <= self.threat_index <= SCORE_CEILING
-            and self.epoch >= 0
-            and self.measurements >= 0
+            0.0 <= penalty <= SCORE_CEILING
+            and 0.0 <= compensation <= SCORE_CEILING
+            and 0.0 <= threat_index <= SCORE_CEILING
+            and epoch >= 0
+            and measurements >= 0
         ):
-            _check_score(self.penalty, "penalty")
-            _check_score(self.compensation, "compensation")
-            _check_score(self.threat_index, "threat_index")
+            _check_score(penalty, "penalty")
+            _check_score(compensation, "compensation")
+            _check_score(threat_index, "threat_index")
             raise ValueError("epoch and measurements must be non-negative")
+        fields = self.__dict__
+        fields["penalty"] = penalty
+        fields["compensation"] = compensation
+        fields["threat_index"] = threat_index
+        fields["state"] = state
+        fields["epoch"] = epoch
+        fields["measurements"] = measurements
+        fields["exit_reason"] = exit_reason
 
 
 def step_epoch(
@@ -239,39 +280,41 @@ def step_epoch(
     they come from a valid ledger, so ``assess``'s checks would repeat
     the ledger's own.
     """
-    if ledger.state not in (LifecycleState.NORMAL, LifecycleState.SUSPICIOUS):
-        raise ValueError(f"cannot step a ledger in state {ledger.state.value!r}")
+    state = ledger.state
+    if state is not _NORMAL and state is not _SUSPICIOUS:
+        raise ValueError(f"cannot step a ledger in state {state.value!r}")
     if measurement_budget < 1:
         raise ValueError(f"measurement budget must be >= 1, got {measurement_budget}")
-    if ledger.measurements >= measurement_budget:
+    measurements = ledger.measurements
+    if measurements >= measurement_budget:
         raise ValueError("measurement budget already exhausted")
     if new_measurements < 1:
         raise ValueError(f"new_measurements must be >= 1, got {new_measurements}")
 
     epoch = ledger.epoch + 1
-    measurements = ledger.measurements + new_measurements
+    measurements += new_measurements
     penalty = ledger.penalty
     compensation = ledger.compensation
-    state = ledger.state
+    previous_threat = ledger.threat_index
 
-    if verdict is Verdict.MALICIOUS:
-        state = LifecycleState.SUSPICIOUS
+    if verdict is _MALICIOUS:
+        state = _SUSPICIOUS
         penalty = clamp(penalty_policy.grow(penalty, epoch))
-        raw_threat = ledger.threat_index + penalty
-    elif state is LifecycleState.SUSPICIOUS:
+        raw_threat = previous_threat + penalty
+    elif state is _SUSPICIOUS:
         compensation = clamp(compensation_policy.grow(compensation, epoch))
-        raw_threat = ledger.threat_index - compensation
+        raw_threat = previous_threat - compensation
     else:
-        raw_threat = ledger.threat_index
+        raw_threat = previous_threat
 
     threat_index = clamp(raw_threat)
     if threat_index == 0.0:
-        state = LifecycleState.NORMAL
+        state = _NORMAL
     if measurements >= measurement_budget:
-        state = LifecycleState.TERMINABLE
+        state = _TERMINABLE
 
     stepped = ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements)
-    return stepped, threat_index - ledger.threat_index
+    return stepped, threat_index - previous_threat
 
 
 def resolve_terminable(ledger: ThreatLedger, verdict: Verdict) -> ThreatLedger:
@@ -281,12 +324,13 @@ def resolve_terminable(ledger: ThreatLedger, verdict: Verdict) -> ThreatLedger:
     is expected to restore its resources. Malicious terminates it.
     Scores and measurements are left untouched; only the epoch advances.
     """
-    if ledger.state is not LifecycleState.TERMINABLE:
-        raise ValueError(f"cannot resolve a ledger in state {ledger.state.value!r}")
-    if verdict is Verdict.MALICIOUS:
-        state, exit_reason = LifecycleState.TERMINATED, EXIT_BY_DETECTOR
+    state = ledger.state
+    if state is not _TERMINABLE:
+        raise ValueError(f"cannot resolve a ledger in state {state.value!r}")
+    if verdict is _MALICIOUS:
+        state, exit_reason = _TERMINATED, EXIT_BY_DETECTOR
     else:
-        state, exit_reason = ledger.state, ledger.exit_reason
+        exit_reason = ledger.exit_reason
     return ThreatLedger(
         ledger.penalty,
         ledger.compensation,
@@ -303,13 +347,13 @@ def mark_completed(ledger: ThreatLedger) -> ThreatLedger:
 
     Valid from any live state; the terminated state is absorbing.
     """
-    if ledger.state is LifecycleState.TERMINATED:
+    if ledger.state is _TERMINATED:
         raise ValueError("terminated is absorbing")
     return ThreatLedger(
         ledger.penalty,
         ledger.compensation,
         ledger.threat_index,
-        LifecycleState.TERMINATED,
+        _TERMINATED,
         ledger.epoch,
         ledger.measurements,
         EXIT_COMPLETED,

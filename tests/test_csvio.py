@@ -81,6 +81,77 @@ class TestUndecodableBytes:
         )
 
 
+class TestErrorsInLineOrder:
+    """The first error in the file wins, whether it is a bad row or a bad byte."""
+
+    def load(self, tmp_path, load, data: bytes) -> tuple[Path, str]:
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        return path, error(load, path)
+
+    def test_stream_field_count_before_a_bad_byte(self, tmp_path):
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b"epoch,value\n0,1.0\n1,2,3\n2,1.0\n3,\xff\n"
+        )
+        assert message == f"{path}:3: expected 2 fields, got 3"
+
+    def test_stream_malformed_row_before_a_bad_byte(self, tmp_path):
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b"epoch,value\n0,1.0\n1,x\n2,1.0\n3,\xff\n"
+        )
+        assert message == f"{path}:3: malformed row ['1', 'x']"
+
+    def test_stream_bad_byte_before_a_row_error(self, tmp_path):
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b"epoch,value\n0,1.0\n1,\xff\n2,1,3\n3,x\n"
+        )
+        assert message == f"{path}:3: not UTF-8: byte 0xff (invalid start byte)"
+
+    def test_trace_row_error_before_a_bad_byte(self, tmp_path):
+        path, message = self.load(
+            tmp_path,
+            load_trace_csv,
+            b"epoch,process,verdict\n0,p,benign\n1,p,sus\n2,p,benign\n3,p,b\xe9nign\n",
+        )
+        assert message == f"{path}:3: verdict must be 'malicious' or 'benign', got 'sus'"
+
+    def test_trace_field_count_before_a_bad_byte(self, tmp_path):
+        path, message = self.load(
+            tmp_path, load_trace_csv, b"epoch,process,verdict\n0,p\n1,p,\xffbenign\n"
+        )
+        assert message == f"{path}:2: expected 3 fields, got 2"
+
+    def test_trace_bad_byte_before_a_row_error(self, tmp_path):
+        path, message = self.load(
+            tmp_path,
+            load_trace_csv,
+            b"epoch,process,verdict\n0,p,benign\n1,p,b\xe9nign\n2,p,sus\n3,p\n",
+        )
+        assert message == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    def test_bad_byte_wins_on_its_own_line(self, tmp_path):
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b"epoch,value\n0,1.0\n1,2,\xff\n"
+        )
+        assert message == f"{path}:3: not UTF-8: byte 0xff (invalid start byte)"
+
+    def test_row_reaching_the_bad_line_is_not_read(self, tmp_path):
+        # The quoted field starts on line 3 and runs into line 4's bad byte.
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b'epoch,value\n0,1.0\n1,"2\n\xff"\n2,x\n'
+        )
+        assert message == f"{path}:4: not UTF-8: byte 0xff (invalid start byte)"
+
+    def test_rows_before_a_late_bad_byte_are_checked(self, tmp_path):
+        rows = [f"{epoch},1.0\n".encode() for epoch in range(3000)]
+        rows[2400] = b"2400,1.0,2\n"
+        rows[2497] = b"2497,1\xff.0\n"
+        path, message = self.load(
+            tmp_path, load_measurement_stream_csv, b"epoch,value\n" + b"".join(rows)
+        )
+        assert message == f"{path}:2402: expected 2 fields, got 3"
+
+
 # -- log.csv writer ----------------------------------------------------------
 
 ROUNDING_EDGES = [5e-7, 0.0000005, 4.999999e-7, 1.5e-6, 0.9999995, 100.0, 1.0, 0.0, -0.0]
