@@ -1,29 +1,21 @@
 """Scenario configuration: one INI file describes a whole run.
 
-Sections:
-
-    [scenario]    epochs, measurement_budget, epoch_duration_ms, seed,
-                  measurements_per_epoch
-    [policies]    penalty_family / compensation_family (incremental,
-                  linear, exponential) plus linear constants *_a / *_b
-    [actuator]    mode (additive / multiplicative), throttle_step,
-                  targets (comma-separated resources), floor_<resource>
-    [process.<id>]   base_rate, unit, combiner, response_<resource>,
-                  detector (name of a [detector.<name>] section)
-    [detector.<name>] kind = trace | stochastic | threshold, plus
-                  kind-specific keys (see below)
+Sections: ``[scenario]``, ``[policies]`` (optional; without it the policy
+keys are read from ``[scenario]``), ``[actuator]`` (optional), one
+``[process.<id>]`` per process, and the ``[detector.<name>]`` sections
+the processes name. ``_TABLE`` lists every key each section kind takes,
+its type and the constructor argument it sets; a key that is left out
+takes that constructor's default, and only ``_REQUIRED`` keys must be
+present. A detector's ``kind`` (trace, stochastic or threshold) selects
+the rest of its keys. A stochastic detector without a ``seed`` derives
+one from the scenario seed and the process id.
 
 Response curve specs are compact strings: ``proportional``,
 ``linear_saturating:<cap_fraction>``, ``cliff:<threshold>:<collapsed>``.
 
-Detector kinds: ``trace`` takes ``file`` (CSV, filtered by the
-referencing process id); ``stochastic`` takes ``tpr``, ``fpr``,
-``ground_truth`` and an optional ``seed`` (derived from the scenario
-seed and process id when absent); ``threshold`` takes ``window``,
-``cutoff`` and ``stream`` (CSV). Relative paths resolve against the
-config file's directory, and a file named by several detectors is read
-once per load. A threshold ``cutoff`` and every stream value must be
-finite.
+Detector files resolve against the config file's directory, and a file
+named by several detectors is read once per load. A threshold
+``cutoff`` and every stream value must be finite.
 
 Values may use configparser's ``%(key)s`` interpolation from the same
 section or ``[DEFAULT]``; ``%%`` is a literal percent. Each section is
@@ -35,6 +27,7 @@ a bad one in a read key is a ``ConfigError`` naming section and key.
 from __future__ import annotations
 
 import configparser
+from enum import Enum, EnumMeta
 from pathlib import Path
 
 from .actuation import RESOURCES, ActuationMode, ActuatorPolicy
@@ -90,6 +83,70 @@ def parse_response_curve(spec: str) -> ResponseCurve:
     )
 
 
+class _DetectorKind(Enum):
+    TRACE = "trace"
+    STOCHASTIC = "stochastic"
+    THRESHOLD = "threshold"
+
+
+def _resource_list(raw: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in raw.split(",") if t.strip())
+
+
+# Section kind -> INI key -> (constructor argument, type), each in the
+# order its keys are read. ``policies`` keys are read per role, the
+# linear constants only under the linear family; a detector's ``kind``
+# names the table of its other keys.
+_TABLE: dict[str, dict[str, tuple[str, object]]] = {
+    "scenario": {
+        "epochs": ("epochs", int),
+        "measurement_budget": ("measurement_budget", int),
+        "epoch_duration_ms": ("epoch_duration_ms", float),
+        "seed": ("seed", int),
+        "measurements_per_epoch": ("measurements_per_epoch", int),
+    },
+    "policies": {
+        "penalty_family": ("family", GrowthFamily),
+        "penalty_a": ("linear_a", float),
+        "penalty_b": ("linear_b", float),
+        "compensation_family": ("family", GrowthFamily),
+        "compensation_a": ("linear_a", float),
+        "compensation_b": ("linear_b", float),
+    },
+    "actuator": {
+        "mode": ("mode", ActuationMode),
+        "targets": ("targets", _resource_list),
+        **{f"floor_{name}": (f"floor_{name}", float) for name in RESOURCES},
+        "throttle_step": ("throttle_step", float),
+    },
+    "process": {
+        "combiner": ("combiner", Combiner),
+        **{f"response_{name}": (name, parse_response_curve) for name in RESOURCES},
+        "base_rate": ("base_rate", float),
+        "unit": ("unit_label", str),
+        "detector": ("detector", str),
+    },
+    "detector": {"kind": ("kind", _DetectorKind)},
+    "trace": {"file": ("file", str)},
+    "stochastic": {
+        "ground_truth": ("ground_truth", GroundTruth),
+        "seed": ("seed", int),
+        "tpr": ("true_positive_rate", float),
+        "fpr": ("false_positive_rate", float),
+    },
+    "threshold": {
+        "stream": ("stream", str),
+        "window": ("window_size", int),
+        "cutoff": ("cutoff", float),
+    },
+}
+_REQUIRED = frozenset({
+    "epochs", "measurement_budget", "base_rate", "detector", "kind", "file",
+    "ground_truth", "tpr", "fpr", "stream", "window", "cutoff",
+})
+_MODEL_KEYS = tuple(key for key in _TABLE["process"] if key != "detector")
+
+
 class _Section:
     """One section's raw values, read once; ``[DEFAULT]`` keys included."""
 
@@ -101,12 +158,10 @@ class _Section:
         self.raw = dict(parser.items(name, raw=True))
 
 
-def _get(section: _Section, key: str, kind, default=None, required: bool = False):
+def _get(section: _Section, key: str, kind):
     raw = section.raw.get(key)
     if raw is None:
-        if required:
-            raise ConfigError(f"[{section.name}] is missing required key {key!r}")
-        return default
+        raise ConfigError(f"[{section.name}] is missing required key {key!r}")
     if "%" in raw:
         try:
             raw = section.parser.get(section.name, key)
@@ -116,56 +171,41 @@ def _get(section: _Section, key: str, kind, default=None, required: bool = False
     try:
         return kind(raw)
     except ValueError:
+        if isinstance(kind, EnumMeta):
+            names = [member.value for member in kind]
+            choices = ", ".join(names[:-1]) + ("," if len(names) > 2 else "") + " or " + names[-1]
+            raise ConfigError(f"[{section.name}] {key} must be {choices}, got {raw!r}") from None
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-def _policy(section: _Section, role: str) -> AssessmentPolicy:
-    family_name = _get(section, f"{role}_family", str, default="incremental")
-    try:
-        family = GrowthFamily(family_name)
-    except ValueError:
-        raise ConfigError(
-            f"[{section.name}] {role}_family must be incremental, linear, or exponential, "
-            f"got {family_name!r}"
-        ) from None
-    if family is GrowthFamily.LINEAR:
-        a = _get(section, f"{role}_a", float, default=1.0)
-        b = _get(section, f"{role}_b", float, default=1.0)
-        try:
-            return AssessmentPolicy.linear(a, b)
-        except ValueError as exc:
-            raise ConfigError(f"[{section.name}] {role}: {exc}") from None
-    return AssessmentPolicy(family)
+def _read(section: _Section, table: dict, keys=None) -> dict:
+    """Constructor arguments for ``keys`` of ``table`` (all of them by default), in order.
+
+    A key that ``section`` leaves out is left out of the result, so the
+    constructor's default applies, unless it is required.
+    """
+    args = {}
+    for key in table if keys is None else keys:
+        if key in section.raw or key in _REQUIRED:
+            arg, kind = table[key]
+            args[arg] = _get(section, key, kind)
+    return args
 
 
-def _actuator(parser: configparser.ConfigParser) -> ActuatorPolicy:
-    defaults = ActuatorPolicy()
-    if not parser.has_section("actuator"):
-        return defaults
-    section = _Section(parser, "actuator")
-    mode_name = _get(section, "mode", str, default=defaults.mode.value)
+def _build(where: str, cls, **args):
+    """``cls(**args)``, a ``ValueError`` from it raised as a ``ConfigError`` after ``where``."""
     try:
-        mode = ActuationMode(mode_name)
-    except ValueError:
-        raise ConfigError(f"[actuator] mode must be additive or multiplicative, got {mode_name!r}") from None
-    targets_raw = _get(section, "targets", str, default=",".join(defaults.targets))
-    targets = tuple(t.strip() for t in targets_raw.split(",") if t.strip())
-    floors = {
-        name: _get(section, f"floor_{name}", float, default=getattr(defaults, f"floor_{name}"))
-        for name in RESOURCES
-    }
-    try:
-        return ActuatorPolicy(
-            throttle_step=_get(section, "throttle_step", float, default=defaults.throttle_step),
-            mode=mode,
-            targets=targets,
-            floor_cpu=floors["cpu"],
-            floor_memory=floors["memory"],
-            floor_network=floors["network"],
-            floor_filesystem=floors["filesystem"],
-        )
+        return cls(**args)
     except ValueError as exc:
-        raise ConfigError(f"[actuator] {exc}") from None
+        raise ConfigError(f"{where} {exc}") from None
+
+
+def _policy(section: _Section, role: str) -> AssessmentPolicy:
+    table = _TABLE["policies"]
+    args = _read(section, table, (f"{role}_family",))
+    if args.get("family") is GrowthFamily.LINEAR:
+        args.update(_read(section, table, (f"{role}_a", f"{role}_b")))
+    return _build(f"[{section.name}] {role}:", AssessmentPolicy, **args)
 
 
 class _InputFiles:
@@ -204,45 +244,22 @@ def _detector_source(
     if not parser.has_section(section_name):
         raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
     section = _Section(parser, section_name)
-    kind = _get(section, "kind", str, required=True)
-    if kind == "trace":
-        file_name = _get(section, "file", str, required=True)
-        path, traces = files.read(section_name, file_name, load_trace_csv)
+    kind = _read(section, _TABLE["detector"])["kind"]
+    table = _TABLE[kind.value]
+    if kind is _DetectorKind.TRACE:
+        path, traces = files.read(section_name, _read(section, table)["file"], load_trace_csv)
         if process_id not in traces:
             raise ConfigError(f"[{section_name}] trace {path} has no rows for process {process_id!r}")
         return traces[process_id]
-    if kind == "stochastic":
-        truth_name = _get(section, "ground_truth", str, required=True)
-        try:
-            truth = GroundTruth(truth_name)
-        except ValueError:
-            raise ConfigError(
-                f"[{section_name}] ground_truth must be attack or benign, got {truth_name!r}"
-            ) from None
-        seed = _get(section, "seed", int, default=None)
-        if seed is None:
-            seed = derive_seed(scenario_seed, process_id)
-        try:
-            return StochasticSource(
-                true_positive_rate=_get(section, "tpr", float, required=True),
-                false_positive_rate=_get(section, "fpr", float, required=True),
-                ground_truth=truth,
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section_name}] {exc}") from None
-    if kind == "threshold":
-        stream_name = _get(section, "stream", str, required=True)
-        _, values = files.read(section_name, stream_name, load_measurement_stream_csv)
-        try:
-            return ThresholdSource(
-                window_size=_get(section, "window", int, required=True),
-                cutoff=_get(section, "cutoff", float, required=True),
-                values=values,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section_name}] {exc}") from None
-    raise ConfigError(f"[{section_name}] kind must be trace, stochastic, or threshold, got {kind!r}")
+    if kind is _DetectorKind.STOCHASTIC:
+        args = _read(section, table)
+        if "seed" not in args:
+            args["seed"] = derive_seed(scenario_seed, process_id)
+        return _build(f"[{section_name}]", StochasticSource, **args)
+    stream_name = _read(section, table, ("stream",))["stream"]
+    _, values = files.read(section_name, stream_name, load_measurement_stream_csv)
+    args = _read(section, table, ("window", "cutoff"))
+    return _build(f"[{section_name}]", ThresholdSource, values=values, **args)
 
 
 def _check_coverage(spec: ProcessSpec, epochs: int) -> None:
@@ -291,20 +308,23 @@ def load_scenario(
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
     scenario_section = _Section(parser, "scenario")
-    epochs = _get(scenario_section, "epochs", int, required=True)
-    budget = _get(scenario_section, "measurement_budget", int, required=True)
-    duration = _get(scenario_section, "epoch_duration_ms", float, default=100.0)
-    seed = _get(scenario_section, "seed", int, default=0)
-    per_epoch = _get(scenario_section, "measurements_per_epoch", int, default=1)
+    scenario_args = _read(scenario_section, _TABLE["scenario"])
     if seed_override is not None:
-        seed = seed_override
+        scenario_args["seed"] = seed_override
+    # Detector seeds derive from the scenario's, its constructor default included.
+    seed = scenario_args.setdefault("seed", Scenario.seed)
 
     policies_section = (
         _Section(parser, "policies") if parser.has_section("policies") else scenario_section
     )
     penalty_policy = _policy(policies_section, "penalty")
     compensation_policy = _policy(policies_section, "compensation")
-    actuator = _actuator(parser)
+    actuator_args = (
+        _read(_Section(parser, "actuator"), _TABLE["actuator"])
+        if parser.has_section("actuator")
+        else {}
+    )
+    actuator = _build("[actuator]", ActuatorPolicy, **actuator_args)
 
     override_traces: dict[str, TraceSource] | None = None
     if trace_override is not None:
@@ -316,6 +336,7 @@ def load_scenario(
             raise ConfigError(str(exc)) from None
 
     files = _InputFiles(path.parent)
+    process_table = _TABLE["process"]
     specs: list[ProcessSpec] = []
     for section_name in parser.sections():
         if not section_name.startswith(PROCESS_PREFIX):
@@ -324,27 +345,9 @@ def load_scenario(
         if not process_id:
             raise ConfigError(f"{path}: empty process id in [{section_name}]")
         section = _Section(parser, section_name)
-        combiner_name = _get(section, "combiner", str, default=Combiner.BOTTLENECK_MIN.value)
-        try:
-            combiner = Combiner(combiner_name)
-        except ValueError:
-            raise ConfigError(
-                f"[{section_name}] combiner must be bottleneck_min or product, got {combiner_name!r}"
-            ) from None
-        response: dict[str, ResponseCurve] = {}
-        for resource in RESOURCES:
-            curve_spec = _get(section, f"response_{resource}", str, default=None)
-            if curve_spec is not None:
-                response[resource] = parse_response_curve(curve_spec)
-        try:
-            model = ProgressModel(
-                base_rate=_get(section, "base_rate", float, required=True),
-                unit_label=_get(section, "unit", str, default="units"),
-                response=response,
-                combiner=combiner,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section_name}] {exc}") from None
+        args = _read(section, process_table, _MODEL_KEYS)
+        response = {name: args.pop(name) for name in RESOURCES if name in args}
+        model = _build(f"[{section_name}]", ProgressModel, response=response, **args)
         if override_traces is not None:
             if process_id not in override_traces:
                 raise ScenarioError(
@@ -352,7 +355,7 @@ def load_scenario(
                 )
             source: VerdictSource = override_traces[process_id]
         else:
-            detector_name = _get(section, "detector", str, required=True)
+            detector_name = _read(section, process_table, ("detector",))["detector"]
             source = _detector_source(parser, detector_name, process_id, seed, files)
         specs.append(ProcessSpec(process_id=process_id, model=model, source=source))
 
@@ -360,21 +363,15 @@ def load_scenario(
         raise ConfigError(f"{path}: no [process.<id>] sections")
     specs.sort(key=lambda s: s.process_id)
 
-    try:
-        scenario = Scenario(
-            processes=tuple(specs),
-            measurement_budget=budget,
-            penalty_policy=penalty_policy,
-            compensation_policy=compensation_policy,
-            actuator=actuator,
-            epochs=epochs,
-            epoch_duration_ms=duration,
-            seed=seed,
-            measurements_per_epoch=per_epoch,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
+    scenario = _build(
+        f"{path}:",
+        Scenario,
+        processes=tuple(specs),
+        penalty_policy=penalty_policy,
+        compensation_policy=compensation_policy,
+        actuator=actuator,
+        **scenario_args,
+    )
     for spec in scenario.processes:
         _check_coverage(spec, scenario.epochs)
     return scenario
