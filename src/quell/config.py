@@ -27,6 +27,7 @@ a bad one in a read key is a ``ConfigError`` naming section and key.
 from __future__ import annotations
 
 import configparser
+import re
 from enum import Enum, EnumMeta
 from pathlib import Path
 
@@ -146,6 +147,30 @@ _REQUIRED = frozenset({
 })
 _MODEL_KEYS = tuple(key for key in _TABLE["process"] if key != "detector")
 
+_DETECTOR_KINDS = tuple(kind.value for kind in _DetectorKind)
+# The keys each section kind holds. ``[scenario]`` also holds the
+# policies' keys, which are read from it when there is no ``[policies]``.
+_KNOWN = {
+    "scenario": frozenset(_TABLE["scenario"]) | frozenset(_TABLE["policies"]),
+    "policies": frozenset(_TABLE["policies"]),
+    "actuator": frozenset(_TABLE["actuator"]),
+    "process": frozenset(_TABLE["process"]),
+    **{kind: frozenset(_TABLE[kind]) | {"kind"} for kind in _DETECTOR_KINDS},
+}
+# Each section kind as the "did you mean" of a near miss spells it.
+_SECTIONS = {
+    "scenario": "[scenario]",
+    "policies": "[policies]",
+    "actuator": "[actuator]",
+    "process": f"[{PROCESS_PREFIX}<id>]",
+    "detector": f"[{DETECTOR_PREFIX}<name>]",
+}
+# An unknown key or section kind at least this close to a known one
+# (``difflib.get_close_matches``) is taken for a typo of it and rejected.
+_NEAR_MISS_CUTOFF = 0.8
+# configparser's own pattern for a ``%(name)s`` reference.
+_REFERENCE = re.compile(r"%\(([^)]+)\)s")
+
 
 class _Section:
     """One section's raw values, read once; ``[DEFAULT]`` keys included."""
@@ -156,6 +181,55 @@ class _Section:
         self.parser = parser
         self.name = name
         self.raw = dict(parser.items(name, raw=True))
+
+
+def _near_miss(word: str, known) -> str | None:
+    """The word of ``known`` that ``word`` is taken for a typo of, if any."""
+    import difflib  # here, not at the top: the import costs every CLI start 1.5-2 ms
+
+    match = difflib.get_close_matches(word, known, n=1, cutoff=_NEAR_MISS_CUTOFF)
+    return match[0] if match else None
+
+
+def _check_keys(section: _Section, kind: str) -> None:
+    """Reject a key of ``section`` that is a near miss of one ``kind`` holds.
+
+    A key of another detector kind is rejected too. Keys from
+    ``[DEFAULT]`` and keys a value references are exempt, and any other
+    unknown key is left alone.
+    """
+    known = _KNOWN[kind]
+    if known.issuperset(section.raw):
+        return
+    parser = section.parser
+    exempt = set(parser.defaults())
+    for value in section.raw.values():
+        exempt.update(map(parser.optionxform, _REFERENCE.findall(value)))
+    for key in section.raw:
+        if key in known or key in exempt:
+            continue
+        if kind in _DETECTOR_KINDS:
+            owner = next((other for other in _DETECTOR_KINDS if key in _TABLE[other]), None)
+            if owner is not None:
+                raise ConfigError(
+                    f"[{section.name}] key {key!r} belongs to kind = {owner}, not {kind}; "
+                    f"did you mean kind = {owner}?"
+                )
+        match = _near_miss(key, known)
+        if match is not None:
+            raise ConfigError(f"[{section.name}] unknown key {key!r}; did you mean {match!r}?")
+
+
+def _check_sections(path: Path, parser: configparser.ConfigParser) -> None:
+    """Reject a section whose kind is a near miss of a known one, or a bare process or detector."""
+    for name in parser.sections():
+        if name in ("scenario", "policies", "actuator"):
+            continue
+        if name.startswith((PROCESS_PREFIX, DETECTOR_PREFIX)):
+            continue
+        match = _near_miss(name.partition(".")[0], _SECTIONS)
+        if match is not None:
+            raise ConfigError(f"{path}: unknown section [{name}]; did you mean {_SECTIONS[match]}?")
 
 
 def _get(section: _Section, key: str, kind):
@@ -245,6 +319,7 @@ def _detector_source(
         raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
     section = _Section(parser, section_name)
     kind = _read(section, _TABLE["detector"])["kind"]
+    _check_keys(section, kind.value)
     table = _TABLE[kind.value]
     if kind is _DetectorKind.TRACE:
         path, traces = files.read(section_name, _read(section, table)["file"], load_trace_csv)
@@ -305,25 +380,28 @@ def load_scenario(
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    _check_sections(path, parser)
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
     scenario_section = _Section(parser, "scenario")
+    _check_keys(scenario_section, "scenario")
     scenario_args = _read(scenario_section, _TABLE["scenario"])
     if seed_override is not None:
         scenario_args["seed"] = seed_override
     # Detector seeds derive from the scenario's, its constructor default included.
     seed = scenario_args.setdefault("seed", Scenario.seed)
 
-    policies_section = (
-        _Section(parser, "policies") if parser.has_section("policies") else scenario_section
-    )
+    policies_section = scenario_section
+    if parser.has_section("policies"):
+        policies_section = _Section(parser, "policies")
+        _check_keys(policies_section, "policies")
     penalty_policy = _policy(policies_section, "penalty")
     compensation_policy = _policy(policies_section, "compensation")
-    actuator_args = (
-        _read(_Section(parser, "actuator"), _TABLE["actuator"])
-        if parser.has_section("actuator")
-        else {}
-    )
+    actuator_args = {}
+    if parser.has_section("actuator"):
+        actuator_section = _Section(parser, "actuator")
+        _check_keys(actuator_section, "actuator")
+        actuator_args = _read(actuator_section, _TABLE["actuator"])
     actuator = _build("[actuator]", ActuatorPolicy, **actuator_args)
 
     override_traces: dict[str, TraceSource] | None = None
@@ -345,6 +423,7 @@ def load_scenario(
         if not process_id:
             raise ConfigError(f"{path}: empty process id in [{section_name}]")
         section = _Section(parser, section_name)
+        _check_keys(section, "process")
         args = _read(section, process_table, _MODEL_KEYS)
         response = {name: args.pop(name) for name in RESOURCES if name in args}
         model = _build(f"[{section_name}]", ProgressModel, response=response, **args)
