@@ -27,12 +27,13 @@ a bad one in a read key is a ``ConfigError`` naming section and key.
 from __future__ import annotations
 
 import configparser
+import io
 import re
 from enum import Enum, EnumMeta
 from pathlib import Path
 
 from .actuation import RESOURCES, ActuationMode, ActuatorPolicy
-from .csvio import describe_decode_error
+from .csvio import read_text
 from .detectors import (
     GroundTruth,
     StochasticSource,
@@ -369,16 +370,19 @@ def load_scenario(
     up front, so a short file fails here and not halfway through a run.
     """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with path.open(encoding="utf-8") as handle:
-            parser.read_file(handle)
+        text, bad_line, bad_byte = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(describe_decode_error(path, exc)) from None
+    lines = io.StringIO(text, newline=None).readlines()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        # Only the lines before a bad byte, so that an error on one of them is reported first.
+        parser.read_file(lines[: bad_line - 1] if bad_line else lines, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if bad_line:
+        raise ConfigError(bad_byte)
 
     _check_sections(path, parser)
     if not parser.has_section("scenario"):

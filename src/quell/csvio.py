@@ -33,15 +33,7 @@ def read_rows(
     the first error in line order is the one raised, whether the caller
     or this reader finds it. The file is read when iteration starts.
     """
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-        bad_line, bad_message = 0, ""
-    except UnicodeDecodeError as exc:
-        # Parse past the bad byte as a stand-in character and stop at the
-        # row that reaches its line.
-        text = data.decode("utf-8", "surrogateescape")
-        bad_line, bad_message = _name_bad_byte(path, data, exc)
+    text, bad_line, bad_message = read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     width = len(header)
     end = 0
@@ -64,26 +56,23 @@ def read_rows(
         raise ValueError(f"{path}: empty {kind} file")
 
 
-def _name_bad_byte(path: Path, data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
-    """The line of the byte ``exc`` names in ``data``, and the message naming it."""
-    head = data[: exc.start]
-    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    return line, f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+def read_text(path: Path) -> tuple[str, int, str]:
+    """``path`` decoded as UTF-8, the line of its first byte that is not, and a message naming it.
 
-
-def describe_decode_error(path: Path, exc: UnicodeDecodeError) -> str:
-    """Name ``path:line`` and the first byte of ``path`` that is not UTF-8.
-
-    A text decoder reads a chunk ahead of the lines it hands out, so
-    ``exc`` places the byte only within that chunk; the line is counted
-    from the file's bytes instead, ending lines where universal newlines do.
+    A file that is all UTF-8 gives line 0 and an empty message. Otherwise
+    each bad byte decodes to a stand-in character, and the line counts
+    line ends as universal newlines do, so the message names the byte as
+    ``path:line`` whichever line ends the file uses. A caller parses the
+    lines before that one and reports an error it finds there first.
     """
     data = path.read_bytes()
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as first:
-        return _name_bad_byte(path, data, first)[1]
-    return f"{path}: {exc}"  # the file changed after it failed to decode
+        return data.decode("utf-8"), 0, ""
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        message = f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        return data.decode("utf-8", "surrogateescape"), line, message
 
 
 @contextmanager

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from quell.config import ConfigError, load_scenario
 from quell.detectors import load_measurement_stream_csv, load_trace_csv
 from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
 from quell.threat import LifecycleState
@@ -218,3 +219,37 @@ def test_log_writer_matches_the_csv_module(tmp_path_factory, log):
     path = tmp_path_factory.mktemp("log") / "log.csv"
     log.write_csv(path)
     assert path.read_bytes() == expected
+
+
+class TestScenarioErrorsInLineOrder:
+    """A scenario INI reports its first error, a parse error or a bad byte, by line."""
+
+    DUPLICATE = "[scenario]\nepochs = 5\nepochs = 6\nmeasurement_budget = 10\n"
+
+    @staticmethod
+    def message(tmp_path, text: str, newline: str) -> tuple[Path, str]:
+        path = tmp_path / "dup.ini"
+        path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario(path)
+        return path, str(excinfo.value)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_duplicate_option_before_a_bad_byte(self, tmp_path, newline):
+        path, message = self.message(tmp_path, self.DUPLICATE + "; caf\xe9\n", newline)
+        assert message == (
+            f"{path}: While reading from '{path}' [line  3]: option 'epochs' in section "
+            "'scenario' already exists"
+        )
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_byte_before_a_duplicate_option(self, tmp_path, newline):
+        text = self.DUPLICATE.replace("epochs = 6", "; caf\xe9")
+        path, message = self.message(tmp_path, text + "epochs = 6\n", newline)
+        assert message == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    def test_crlf_scenario_loads_as_lf(self, tmp_path, configs_dir):
+        text = (configs_dir / "worked_attack.ini").read_bytes()
+        path = tmp_path / "scenario.ini"
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        assert load_scenario(path) == load_scenario(configs_dir / "worked_attack.ini")
