@@ -8,7 +8,9 @@ its type and the constructor argument it sets; a key that is left out
 takes that constructor's default, and only ``_REQUIRED`` keys must be
 present. A detector's ``kind`` (trace, stochastic or threshold) selects
 the rest of its keys. A stochastic detector without a ``seed`` derives
-one from the scenario seed and the process id.
+one from the scenario seed and the process id. Other keys and sections
+are ignored, unless one is a near miss of a known one (``_check_keys``,
+``_check_sections``).
 
 Response curve specs are compact strings: ``proportional``,
 ``linear_saturating:<cap_fraction>``, ``cliff:<threshold>:<collapsed>``.

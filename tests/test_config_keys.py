@@ -1,11 +1,15 @@
-"""Near-miss keys and sections: a typo is an error, an unrelated key is not."""
+"""Scenario keys: near misses are errors, unrelated keys are not, and README names them all."""
 
 import re
+from pathlib import Path
 
 import pytest
 
+from quell.actuation import RESOURCES
 from quell.cli import EXIT_CONFIG, main
-from quell.config import ConfigError, load_scenario
+from quell.config import _TABLE, ConfigError, load_scenario
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def worked_attack(configs_dir):
@@ -149,4 +153,23 @@ def test_a_replay_does_not_check_the_detector_it_replaces(tmp_path, configs_dir)
     trace = configs_dir / "attack_trace.csv"
     assert load_scenario(write(tmp_path, text), trace_override=trace) == load_scenario(
         configs_dir / "worked_attack.ini", trace_override=trace
+    )
+
+
+def scenario_files_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Scenario files\n")[1].split("\n## ")[0]
+
+
+def test_readme_names_exactly_the_keys_of_the_table():
+    named = set()
+    for name in re.findall(r"\b([a-z][a-z_]*(?:<resource>)?) =", scenario_files_section()):
+        named.update(name.replace("<resource>", resource) for resource in RESOURCES)
+    assert named == {key for table in _TABLE.values() for key in table}
+
+
+def test_readme_example_is_the_worked_attack(tmp_path, configs_dir):
+    example = scenario_files_section().split("```ini\n")[1].split("```")[0]
+    assert load_scenario(write(tmp_path, example)) == load_scenario(
+        configs_dir / "worked_attack.ini"
     )

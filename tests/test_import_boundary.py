@@ -32,3 +32,22 @@ def test_no_module_imports_statistics():
         path.name for path in PACKAGE.glob("*.py") if "statistics" in imported_modules(path)
     )
     assert importers == []
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """Top-level names of the modules ``path`` imports at module level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_no_module_imports_difflib_at_module_level():
+    # Its import costs every CLI start 1.5-2 ms; only a near-miss config error needs it.
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if "difflib" in top_level_imports(path)
+    )
+    assert importers == []
