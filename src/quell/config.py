@@ -158,7 +158,7 @@ _KNOWN = {
     "policies": frozenset(_TABLE["policies"]),
     "actuator": frozenset(_TABLE["actuator"]),
     "process": frozenset(_TABLE["process"]),
-    **{kind: frozenset(_TABLE[kind]) | {"kind"} for kind in _DETECTOR_KINDS},
+    **{kind: frozenset(_TABLE[kind]) | frozenset(_TABLE["detector"]) for kind in _DETECTOR_KINDS},
 }
 # Each section kind as the "did you mean" of a near miss spells it.
 _SECTIONS = {
@@ -236,6 +236,7 @@ def _check_sections(path: Path, parser: configparser.ConfigParser) -> None:
 
 
 def _get(section: _Section, key: str, kind):
+    """``key``'s value in ``section`` converted by ``kind``; each error names section and key."""
     raw = section.raw.get(key)
     if raw is None:
         raise ConfigError(f"[{section.name}] is missing required key {key!r}")
@@ -258,8 +259,8 @@ def _get(section: _Section, key: str, kind):
 def _read(section: _Section, table: dict, keys=None) -> dict:
     """Constructor arguments for ``keys`` of ``table`` (all of them by default), in order.
 
-    A key that ``section`` leaves out is left out of the result, so the
-    constructor's default applies, unless it is required.
+    A key that ``section`` leaves out is left out of the result, so that
+    the constructor's default applies; a required one is an error.
     """
     args = {}
     for key in table if keys is None else keys:
