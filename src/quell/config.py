@@ -24,6 +24,7 @@ section or ``[DEFAULT]``; ``%%`` is a literal percent. Each section is
 read once, raw, and a value is interpolated only when its key is read
 and it holds a ``%``, so a stray ``%`` in an unread key is harmless and
 a bad one in a read key is a ``ConfigError`` naming section and key.
+A parse error and a byte that is not UTF-8 are reported in line order.
 """
 
 from __future__ import annotations
@@ -322,15 +323,15 @@ def _detector_source(
     if not parser.has_section(section_name):
         raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
     section = _Section(parser, section_name)
-    kind = _read(section, _TABLE["detector"])["kind"]
-    _check_keys(section, kind.value)
-    table = _TABLE[kind.value]
-    if kind is _DetectorKind.TRACE:
+    kind = _read(section, _TABLE["detector"])["kind"].value
+    _check_keys(section, kind)
+    table = _TABLE[kind]
+    if kind == "trace":
         path, traces = files.read(section_name, _read(section, table)["file"], load_trace_csv)
         if process_id not in traces:
             raise ConfigError(f"[{section_name}] trace {path} has no rows for process {process_id!r}")
         return traces[process_id]
-    if kind is _DetectorKind.STOCHASTIC:
+    if kind == "stochastic":
         args = _read(section, table)
         if "seed" not in args:
             args["seed"] = derive_seed(scenario_seed, process_id)

@@ -143,11 +143,6 @@ def test_a_referenced_key_is_exempt(tmp_path, configs_dir):
     assert load_scenario(write(tmp_path, text)) == load_scenario(configs_dir / "worked_attack.ini")
 
 
-def test_policy_keys_in_scenario_are_known_with_a_policies_section(tmp_path, configs_dir):
-    text = after_header(worked_attack(configs_dir), "scenario", "penalty_family = linear")
-    assert load_scenario(write(tmp_path, text)) == load_scenario(configs_dir / "worked_attack.ini")
-
-
 def test_a_replay_does_not_check_the_detector_it_replaces(tmp_path, configs_dir):
     text = after_header(worked_attack(configs_dir), "detector.always_flagged", "window = 3")
     trace = configs_dir / "attack_trace.csv"
@@ -173,3 +168,26 @@ def test_readme_example_is_the_worked_attack(tmp_path, configs_dir):
     assert load_scenario(write(tmp_path, example)) == load_scenario(
         configs_dir / "worked_attack.ini"
     )
+
+
+def test_linear_constants_are_read_only_under_the_linear_family(tmp_path, configs_dir):
+    text = after_header(worked_attack(configs_dir), "policies", "penalty_a = junk")
+    assert load_scenario(write(tmp_path, text)) == load_scenario(configs_dir / "worked_attack.ini")
+
+
+def test_a_replay_reads_no_detector_key(tmp_path, configs_dir):
+    text = worked_attack(configs_dir).replace("detector = always_flagged", "")
+    trace = configs_dir / "attack_trace.csv"
+    assert load_scenario(write(tmp_path, text), trace_override=trace) == load_scenario(
+        configs_dir / "worked_attack.ini", trace_override=trace
+    )
+
+
+def test_a_threshold_stream_is_read_before_its_window(tmp_path):
+    text = (
+        "[scenario]\nepochs = 5\nmeasurement_budget = 10\n\n"
+        "[process.a]\nbase_rate = 2.0\ndetector = d\n\n"
+        "[detector.d]\nkind = threshold\nwindow = wide\ncutoff = 1.0\nstream = absent.csv\n"
+    )
+    with pytest.raises(ConfigError, match=r"^\[detector\.d\] cannot read .*absent\.csv"):
+        load_scenario(write(tmp_path, text))
