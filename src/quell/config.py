@@ -172,8 +172,6 @@ _SECTIONS = {
 # An unknown key or section kind at least this close to a known one
 # (``difflib.get_close_matches``) is taken for a typo of it and rejected.
 _NEAR_MISS_CUTOFF = 0.8
-# configparser's own pattern for a ``%(name)s`` reference.
-_REFERENCE = re.compile(r"%\(([^)]+)\)s")
 
 
 class _Section:
@@ -208,7 +206,8 @@ def _check_keys(section: _Section, kind: str) -> None:
     parser = section.parser
     exempt = set(parser.defaults())
     for value in section.raw.values():
-        exempt.update(map(parser.optionxform, _REFERENCE.findall(value)))
+        # configparser's own pattern for a %(name)s reference
+        exempt.update(map(parser.optionxform, re.findall(r"%\(([^)]+)\)s", value)))
     for key in section.raw:
         if key in known or key in exempt:
             continue
