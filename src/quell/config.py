@@ -345,15 +345,15 @@ def _check_coverage(spec: ProcessSpec, epochs: int) -> None:
     """Reject a file-backed source that ends before the run does."""
     source = spec.source
     if isinstance(source, TraceSource):
-        kind, end = "trace", source.end_epoch
+        kind, start, end = "trace", source.start_epoch, source.end_epoch
     elif isinstance(source, ThresholdSource):
-        kind, end = "measurement stream", source.start_epoch + len(source.values)
+        kind, start, end = "measurement stream", 0, len(source.values)
     else:
         return
-    if source.start_epoch > 1 or end < epochs:
+    if end < epochs:
         raise ScenarioError(
             f"{kind} for process {spec.process_id!r} covers epochs "
-            f"[{source.start_epoch}, {end}) but the scenario "
+            f"[{start}, {end}) but the scenario "
             f"consumes epochs [1, {epochs})"
         )
 

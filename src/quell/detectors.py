@@ -163,15 +163,15 @@ class StochasticSource:
 class ThresholdSource:
     """Flags an epoch when the trailing windowed mean exceeds the cutoff.
 
-    The window covers up to ``window_size`` values ending at the current
-    epoch; early epochs use the shorter prefix. The verdict depends only
-    on values inside the window.
+    ``values[e]`` is the measurement at epoch ``e``. The window covers
+    up to ``window_size`` values ending at the current epoch; early
+    epochs use the shorter prefix. The verdict depends only on values
+    inside the window.
     """
 
     window_size: int
     cutoff: float
     values: tuple[float, ...]
-    start_epoch: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -181,17 +181,13 @@ class ThresholdSource:
             raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
         if not all(map(math.isfinite, self.values)):
             raise ValueError("measurement values must be finite")
-        if self.start_epoch < 0:
-            raise ValueError("start epoch must be non-negative")
 
     def verdict_at(self, epoch: int) -> Verdict:
-        index = epoch - self.start_epoch
-        if index < 0 or index >= len(self.values):
+        if epoch < 0 or epoch >= len(self.values):
             raise SourceExhausted(
-                f"measurement stream covers epochs [{self.start_epoch}, "
-                f"{self.start_epoch + len(self.values)}), requested {epoch}"
+                f"measurement stream covers epochs [0, {len(self.values)}), requested {epoch}"
             )
-        window = self.values[max(0, index - self.window_size + 1) : index + 1]
+        window = self.values[max(0, epoch - self.window_size + 1) : epoch + 1]
         return _MALICIOUS if math.fsum(window) / len(window) > self.cutoff else _BENIGN
 
 

@@ -152,12 +152,11 @@ def budget_to_time(measurement_budget: int, curve: EfficacyCurve) -> float:
     return measurement_budget * curve.epoch_duration_ms / 1000.0
 
 
-def load_curve_csv(
-    path: str | Path,
-    detector_name: str | None = None,
-    epoch_duration_ms: float = 100.0,
-) -> EfficacyCurve:
-    """Read a curve from CSV with the exact header measurements,f1,fpr."""
+def load_curve_csv(path: str | Path, epoch_duration_ms: float = 100.0) -> EfficacyCurve:
+    """Read a curve from CSV with the exact header measurements,f1,fpr.
+
+    The curve is named after the file's stem.
+    """
     path = Path(path)
     points = []
     for line, row in read_rows(path, CURVE_CSV_HEADER, "curve"):
@@ -165,5 +164,4 @@ def load_curve_csv(
             points.append(CurvePoint(measurements=int(row[0]), f1=float(row[1]), fpr=float(row[2])))
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
-    name = detector_name if detector_name is not None else path.stem
-    return EfficacyCurve(tuple(points), detector_name=name, epoch_duration_ms=epoch_duration_ms)
+    return EfficacyCurve(tuple(points), detector_name=path.stem, epoch_duration_ms=epoch_duration_ms)

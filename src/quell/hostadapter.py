@@ -2,10 +2,12 @@
 
 An adapter exposes the three calls the supervisor makes: ``poll`` (is
 the process still there), ``apply_shares`` (set resource limits to
-shares of the attach-time defaults), and ``terminate``. Handle validity
-is checked before every call; applying shares to a process that is gone
-raises ``StaleHandleError``, while ``terminate`` acknowledges it as a
-no-op.
+shares of the attach-time defaults), and ``terminate``. The last two
+answer with an ``Ack``: ``noop`` marks an idempotent repeat, and
+``unsupported`` names the resources the host cannot limit (every other
+resource was applied). Handle validity is checked before every call;
+applying shares to a process that is gone raises ``StaleHandleError``,
+while ``terminate`` acknowledges it as a no-op.
 
 ``FakeHostAdapter`` is fully scripted and is what every test drives. It
 keeps an append-only call log (exportable as CSV) and flags redundant
@@ -72,9 +74,7 @@ class Ack:
     were still applied.
     """
 
-    call: str
     noop: bool = False
-    applied: tuple[str, ...] = ()
     unsupported: tuple[str, ...] = ()
 
 
@@ -125,7 +125,6 @@ class FakeHostAdapter:
         if unknown:
             raise ValueError(f"unknown resources: {unknown}")
         self.unsupported = tuple(r for r in RESOURCES if r in set(unsupported))
-        self._applied = tuple(r for r in RESOURCES if r not in self.unsupported)
         self.calls: list[CallRecord] = []
         self._processes: dict[str, _FakeProcess] = {}
 
@@ -152,20 +151,20 @@ class FakeHostAdapter:
         redundant = shares == proc.shares
         self._log(handle.ident, "apply_shares", format_shares(shares), redundant=redundant)
         if redundant:
-            return Ack(call="apply_shares", noop=True, applied=(), unsupported=self.unsupported)
+            return Ack(noop=True, unsupported=self.unsupported)
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
             shares = replace(shares, **{r: proc.shares.get(r) for r in self.unsupported})
         proc.shares = shares
-        return Ack(call="apply_shares", applied=self._applied, unsupported=self.unsupported)
+        return Ack(unsupported=self.unsupported)
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         proc = self._lookup(handle)
         if not proc.alive:
-            return Ack(call="terminate", noop=True)
+            return Ack(noop=True)
         proc.alive = False
         self._log(handle.ident, "terminate", "")
-        return Ack(call="terminate")
+        return Ack()
 
     # -- inspection and export ----------------------------------------------
 
@@ -255,7 +254,7 @@ class LinuxSignalAdapter:
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         pid = self._require_alive(handle)
         if shares == self._shares.get(handle.ident):
-            return Ack(call="apply_shares", noop=True, unsupported=self._UNSUPPORTED)
+            return Ack(noop=True, unsupported=self._UNSUPPORTED)
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
         else:
@@ -268,7 +267,7 @@ class LinuxSignalAdapter:
             else:
                 cycler.fraction = shares.cpu
         self._shares[handle.ident] = shares
-        return Ack(call="apply_shares", applied=("cpu",), unsupported=self._UNSUPPORTED)
+        return Ack(unsupported=self._UNSUPPORTED)
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         self._stop_cycler(handle.ident)
@@ -276,12 +275,12 @@ class LinuxSignalAdapter:
         # A zombie has nothing left to kill, so it is acknowledged as
         # already gone, the same as a reaped pid.
         if not self._pid_exists(pid):
-            return Ack(call="terminate", noop=True)
+            return Ack(noop=True)
         try:
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
-            return Ack(call="terminate", noop=True)
-        return Ack(call="terminate")
+            return Ack(noop=True)
+        return Ack()
 
     def close(self) -> None:
         for ident in list(self._cyclers):

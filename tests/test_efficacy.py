@@ -165,10 +165,6 @@ class TestLoadCurveCsv:
         assert curve.points == BOOSTED_TREES.points
         assert curve.epoch_duration_ms == 100.0
 
-    def test_detector_name_override(self, configs_dir):
-        curve = load_curve_csv(configs_dir / "curve_small_ann.csv", detector_name="ann")
-        assert curve.detector_name == "ann"
-
     def test_header_is_exact(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("measurements,f1score,fpr\n1,0.5,0.5\n5,0.9,0.1\n")

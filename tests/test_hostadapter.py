@@ -75,11 +75,7 @@ class TestApplyShares:
         adapter = FakeHostAdapter()
         handle = adapter.spawn("worker")
         ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-        assert ack == Ack(
-            call="apply_shares",
-            applied=("cpu", "memory", "network", "filesystem"),
-            unsupported=(),
-        )
+        assert ack == Ack(unsupported=())
         assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5)
         applies = [c for c in adapter.calls if c.call == "apply_shares"]
         assert len(applies) == 1
@@ -91,7 +87,6 @@ class TestApplyShares:
         adapter.apply_shares(handle, ResourceShares(cpu=0.5))
         ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
         assert ack.noop is True
-        assert ack.applied == ()
         assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5)
         assert adapter.calls[-1].redundant is True
 
@@ -106,7 +101,6 @@ class TestApplyShares:
         handle = adapter.spawn("worker")
         ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5, memory=0.9))
         assert ack.unsupported == ("memory",)
-        assert ack.applied == ("cpu", "network", "filesystem")
         assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5, memory=1.0)
 
     def test_apply_after_exit_raises(self):
@@ -122,7 +116,7 @@ class TestTerminate:
         adapter = FakeHostAdapter()
         handle = adapter.spawn("worker")
         ack = adapter.terminate(handle)
-        assert ack == Ack(call="terminate")
+        assert ack == Ack()
         assert adapter.poll(handle) is False
         assert [c.call for c in adapter.calls] == ["attach", "terminate"]
 
@@ -193,7 +187,6 @@ class TestLinuxSignalAdapter:
             handle = adapter.attach(sleeper.pid)
             assert adapter.poll(handle) is True
             ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            assert ack.applied == ("cpu",)
             assert ack.unsupported == ("memory", "network", "filesystem")
             time.sleep(0.05)
             restore = adapter.apply_shares(handle, ResourceShares())
@@ -270,7 +263,7 @@ class TestLinuxSignalAdapter:
                 kill(pid, signo)
 
             monkeypatch.setattr(os, "kill", recording_kill)
-            assert adapter.terminate(handle) == Ack(call="terminate", noop=True)
+            assert adapter.terminate(handle) == Ack(noop=True)
             monkeypatch.undo()
             assert signal.SIGKILL not in sent
             assert adapter._cyclers == {}
@@ -302,9 +295,8 @@ class TestLinuxSignalAdapter:
             handle = adapter.attach(child.pid)
             assert adapter.poll(handle) is True
             ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            assert ack.applied == ("cpu",)
             assert adapter._cyclers[handle.ident].is_alive()
-            assert adapter.terminate(handle) == Ack(call="terminate")
+            assert adapter.terminate(handle) == Ack()
             assert child.wait(timeout=5) == -signal.SIGKILL
             assert adapter.poll(handle) is False
         finally:
