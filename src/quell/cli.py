@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: simulate, plan, replay, supervise. Exit codes: 0 on
-success, 2 for configuration or parse errors, 3 for runtime scenario
-errors, 4 when a planning target is unreachable. Results go to stdout
-or the output directory; diagnostics go to stderr.
+Subcommands: simulate, plan, replay, supervise. ``replay`` is
+``simulate`` with every process's verdicts read from one trace file, so
+one handler serves both. Exit codes: 0 on success, 2 for configuration
+or parse errors, 3 for runtime scenario errors, 4 when a planning
+target is unreachable. Results go to stdout or the output directory;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scenario", required=True, help="scenario INI file")
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, trace=None)
 
     plan = commands.add_parser("plan", help="measurement budget for a detection quality target")
     plan.add_argument("--curve", required=True, help="efficacy curve CSV")
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--trace", required=True, help="verdict trace CSV (epoch,process,verdict)")
     replay.add_argument("--out", required=True, help="output directory")
     replay.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    replay.set_defaults(func=cmd_replay)
+    replay.set_defaults(func=cmd_simulate)
 
     supervise_cmd = commands.add_parser("supervise", help="drive a host adapter epoch by epoch")
     supervise_cmd.add_argument("--scenario", required=True, help="scenario INI file")
@@ -100,7 +102,10 @@ def _prepare_out(out: str) -> Path:
     return directory
 
 
-def _run_and_write(scenario, out_dir: Path) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    """``simulate``, and ``replay`` with its ``--trace`` in place of the detectors."""
+    scenario = load_scenario(args.scenario, seed_override=args.seed, trace_override=args.trace)
+    out_dir = _prepare_out(args.out)
     with_log = run_scenario(scenario)
     reports = slowdown_reports(with_log, baseline(scenario))
     with_log.write_csv(out_dir / "log.csv")
@@ -112,16 +117,6 @@ def _run_and_write(scenario, out_dir: Path) -> int:
         )
     logger.info("wrote %s and %s", out_dir / "log.csv", out_dir / "slowdown.csv")
     return EXIT_OK
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, seed_override=args.seed)
-    return _run_and_write(scenario, _prepare_out(args.out))
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, seed_override=args.seed, trace_override=args.trace)
-    return _run_and_write(scenario, _prepare_out(args.out))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
