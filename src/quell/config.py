@@ -1,7 +1,8 @@
 """Scenario configuration: one INI file describes a whole run.
 
 Sections: ``[scenario]``, ``[policies]`` (optional; without it the policy
-keys are read from ``[scenario]``), ``[actuator]`` (optional), one
+keys are read from ``[scenario]``, with it a policy key that ``[scenario]``
+sets is an error), ``[actuator]`` (optional), one
 ``[process.<id>]`` per process, and the ``[detector.<name>]`` sections
 the processes name. ``_TABLE`` lists every key each section kind takes,
 its type and the constructor argument it sets; a key that is left out
@@ -402,6 +403,14 @@ def load_scenario(
     if parser.has_section("policies"):
         policies_section = _Section(parser, "policies")
         _check_keys(policies_section, "policies")
+        defaults = parser.defaults()
+        for key in _TABLE["policies"]:
+            # A [DEFAULT] key shows in every section; only a value [scenario] sets itself is stray.
+            if key in scenario_section.raw and scenario_section.raw[key] != defaults.get(key):
+                raise ConfigError(
+                    f"[scenario] policy key {key!r} is ignored when [policies] exists; "
+                    "move it to [policies]"
+                )
     penalty_policy = _policy(policies_section, "penalty")
     compensation_policy = _policy(policies_section, "compensation")
     actuator_args = {}

@@ -136,6 +136,45 @@ def test_a_default_key_is_exempt_everywhere(tmp_path, configs_dir):
     assert load_scenario(write(tmp_path, text)) == expected
 
 
+STRAY_POLICY_KEYS = [
+    (
+        lambda t: after_header(
+            t, "scenario", "penalty_family = linear\npenalty_a = 2\npenalty_b = 5"
+        ),
+        "penalty_family",
+    ),
+    (lambda t: after_header(t, "scenario", "compensation_b = 1"), "compensation_b"),
+    # A [scenario] value that overrides [DEFAULT]'s is as ignored as any other.
+    (
+        lambda t: after_header("[DEFAULT]\npenalty_a = 2\n\n" + t, "scenario", "penalty_a = 3"),
+        "penalty_a",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, key", STRAY_POLICY_KEYS)
+def test_a_policy_key_in_scenario_exits_2_when_policies_exists(
+    tmp_path, configs_dir, capsys, mutate, key
+):
+    path = write(tmp_path, mutate(worked_attack(configs_dir)))
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [scenario] policy key {key!r} is ignored when [policies] exists; "
+        "move it to [policies]\n"
+    )
+    assert not out.exists()
+
+
+def test_a_default_policy_key_is_exempt_in_scenario(tmp_path, configs_dir):
+    text = "[DEFAULT]\npenalty_family = incremental\npenalty_a = 2\n\n"
+    text += worked_attack(configs_dir)
+    assert load_scenario(write(tmp_path, text)) == load_scenario(configs_dir / "worked_attack.ini")
+
+
 def test_a_referenced_key_is_exempt(tmp_path, configs_dir):
     text = worked_attack(configs_dir).replace(
         "base_rate = 225.7", "base_rat = 225.7\nbase_rate = %(base_rat)s"
