@@ -7,7 +7,8 @@ moves targeted shares in response to threat-index deltas:
 * a positive delta lowers each targeted share, stopping at a per-resource
   floor so the process is starved but never wedged;
 * a negative delta restores shares toward 1.0;
-* a zero delta leaves shares untouched.
+* a delta that moves no targeted share (zero, a throttle at the floor,
+  a restore at 1.0) returns the very shares it was given.
 
 Two modes are supported. Additive moves shares by ``throttle_step`` per
 unit of delta. Multiplicative scales them by ``(1 - throttle_step)`` per
@@ -169,15 +170,16 @@ def _move(share: float, delta: float, policy: ActuatorPolicy, floor: float) -> f
 def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy) -> ResourceShares:
     """Move every targeted share by one threat-index delta.
 
-    Zero delta is an exact identity. Untargeted resources are never
-    touched. Targeted shares must already sit at or above their policy
-    floor; results stay within [floor, 1.0].
+    Returns ``shares`` itself when no targeted share moves. Untargeted
+    resources are never touched. Targeted shares must already sit at or
+    above their policy floor; results stay within [floor, 1.0].
     """
     if not math.isfinite(threat_delta):
         raise ValueError(f"threat delta must be finite, got {threat_delta!r}")
     if threat_delta == 0.0:
         return shares
     values = [shares.cpu, shares.memory, shares.network, shares.filesystem]
+    moved = False
     for index, floor in policy._target_floors:
         current = values[index]
         if current < floor:
@@ -185,7 +187,8 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
                 f"{RESOURCES[index]} share {current!r} is below the policy floor {floor!r}"
             )
         values[index] = _move(current, threat_delta, policy, floor)
-    return ResourceShares(*values)
+        moved = moved or values[index] != current
+    return ResourceShares(*values) if moved else shares
 
 
 def actuate_reset() -> ResourceShares:

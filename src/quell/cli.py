@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .config import ConfigError, load_scenario
 from .csvio import write_rows
-from .detectors import SourceExhausted
 from .efficacy import (
     EfficacyTarget,
     TargetKind,
@@ -186,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (ScenarioError, SourceExhausted, StaleHandleError) as exc:
+    except (ScenarioError, StaleHandleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, OSError, ValueError) as exc:

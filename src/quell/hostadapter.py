@@ -10,8 +10,8 @@ applying shares to a process that is gone raises ``StaleHandleError``,
 while ``terminate`` acknowledges it as a no-op.
 
 ``FakeHostAdapter`` is fully scripted and is what every test drives. It
-keeps an append-only call log (exportable as CSV) and flags redundant
-applies, so idempotence is observable.
+keeps an append-only call log (exportable as CSV), and its ``Ack`` marks
+a redundant apply as a no-op, so idempotence is observable.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
@@ -100,7 +100,6 @@ class CallRecord:
     handle: str
     call: str
     args: str
-    redundant: bool = False
 
     def csv_row(self) -> tuple[str, ...]:
         return (str(self.seq), self.handle, self.call, self.args)
@@ -148,9 +147,8 @@ class FakeHostAdapter:
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         proc = self._live(handle)
-        redundant = shares == proc.shares
-        self._log(handle.ident, "apply_shares", format_shares(shares), redundant=redundant)
-        if redundant:
+        self._log(handle.ident, "apply_shares", format_shares(shares))
+        if shares == proc.shares:
             return Ack(noop=True, unsupported=self.unsupported)
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
@@ -176,10 +174,8 @@ class FakeHostAdapter:
 
     # -- internals ------------------------------------------------------------
 
-    def _log(self, ident: str, call: str, args: str, redundant: bool = False) -> None:
-        self.calls.append(
-            CallRecord(seq=len(self.calls), handle=ident, call=call, args=args, redundant=redundant)
-        )
+    def _log(self, ident: str, call: str, args: str) -> None:
+        self.calls.append(CallRecord(seq=len(self.calls), handle=ident, call=call, args=args))
 
     def _lookup(self, handle: ProcessHandle) -> _FakeProcess:
         proc = self._processes.get(handle.ident)
@@ -235,6 +231,7 @@ class LinuxSignalAdapter:
     """
 
     PERIOD_MS = 100.0
+    _PID_MAX = 2**31 - 1  # the largest C ``pid_t``
     _UNSUPPORTED = ("memory", "network", "filesystem")
 
     def __init__(self) -> None:
@@ -242,6 +239,24 @@ class LinuxSignalAdapter:
         self._shares: dict[str, ResourceShares] = {}
 
     def attach(self, pid: int) -> ProcessHandle:
+        """Handle for ``pid``, which must name one process other than quell.
+
+        Pid 0 and negative pids address process groups, a pid past the
+        largest ``pid_t`` addresses nothing, and quell's own pid would
+        stop quell itself; each is rejected before any signal is sent. A
+        process quell may not signal could be neither throttled nor
+        killed, so it is rejected too.
+        """
+        if not 1 <= pid <= self._PID_MAX:
+            raise ValueError(f"pid must be between 1 and {self._PID_MAX}, got {pid}")
+        if pid == os.getpid():
+            raise ValueError(f"pid {pid} is quell's own process")
+        try:
+            os.kill(pid, 0)
+        except PermissionError:
+            raise ValueError(f"not permitted to signal process {pid}") from None
+        except ProcessLookupError:
+            pass
         if not self._pid_exists(pid):
             raise StaleHandleError(f"no such process: {pid}")
         handle = ProcessHandle(ident=str(pid))

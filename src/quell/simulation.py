@@ -418,12 +418,14 @@ def respond(
 
     A terminable ledger is resolved: malicious terminates the process and
     leaves its shares as they were, benign restores the defaults. Any
-    other ledger is stepped and its threat delta actuated. Both drivers
-    read what to do from the result: a terminated ledger or new shares.
+    other ledger is stepped and its threat delta actuated. The shares
+    come back as the very object given unless a share moved, so both
+    drivers read what to do from the result alone: a terminated ledger,
+    or shares that are not the ones they passed in.
     """
     if ledger.state is _TERMINABLE:
         ledger = resolve_terminable(ledger, verdict)
-        if ledger.state is _TERMINATED:
+        if ledger.state is _TERMINATED or shares == DEFAULT_SHARES:
             return ledger, shares
         return ledger, actuate_reset()
     ledger, delta = step_epoch(
@@ -440,8 +442,9 @@ def respond(
 def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
     ledger = ThreatLedger()
     shares = DEFAULT_SHARES
-    # Progress depends on the shares only; actuation often returns the
-    # same shares object, so rate it again only when that object changes.
+    # Progress depends on the shares only, and ``respond`` returns the
+    # same shares object unless a share moved, so rate it again only
+    # when that object changes.
     rated_shares = None
     rate = 0.0
     cumulative = 0.0

@@ -2,12 +2,15 @@
 
 Each epoch: poll the process, fetch the verdict, and run the simulator's
 ``respond`` transition on it. A terminated ledger terminates the
-process; otherwise the new shares go to the adapter only when they
-changed, so the adapter sees exactly one apply call per share-changing
-epoch and none otherwise. A process that disappears on its own, before
-the poll or between the poll and the apply, is recorded as completed
-and left alone. A process is finished exactly when its ledger is
-terminated, and the loop ends once every process is finished.
+process; otherwise the shares go to the adapter only when ``respond``
+hands back new ones, which it does exactly when a share moved, so the
+adapter sees one apply call per share-changing epoch and none
+otherwise. A process that disappears on its own, before the poll or
+between the poll and the apply, is recorded as completed and left
+alone. A verdict source that runs dry raises the simulator's
+``ScenarioError``, naming the process. A process is finished exactly
+when its ledger is terminated, and the loop ends once every process is
+finished.
 
 Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
@@ -23,9 +26,9 @@ import time
 from dataclasses import dataclass
 
 from .actuation import DEFAULT_SHARES, ResourceShares
-from .detectors import VerdictSource, next_verdict
+from .detectors import SourceExhausted, VerdictSource, next_verdict
 from .hostadapter import HostAdapter, ProcessHandle, StaleHandleError
-from .simulation import Scenario, respond
+from .simulation import Scenario, ScenarioError, respond
 from .threat import LifecycleState, ThreatLedger, mark_completed
 
 # Not called here: bench/tracing.py wraps these names in this module as well.
@@ -115,11 +118,14 @@ def supervise(
                 state.ledger = mark_completed(state.ledger)
                 logger.info("%s exited on its own at epoch %d", state.process_id, epoch)
                 continue
-            verdict = next_verdict(state.source, epoch)
+            try:
+                verdict = next_verdict(state.source, epoch)
+            except SourceExhausted as exc:
+                raise ScenarioError(f"process {state.process_id!r}: {exc}") from exc
             state.ledger, shares = respond(state.ledger, state.shares, verdict, scenario)
             if state.ledger.state is _TERMINATED:
                 adapter.terminate(state.handle)
-            elif shares is not state.shares and not shares == state.shares:
+            elif shares is not state.shares:
                 try:
                     ack = adapter.apply_shares(state.handle, shares)
                 except StaleHandleError:

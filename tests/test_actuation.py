@@ -24,6 +24,33 @@ from reference import additive_share_walk, multiplicative_weight
 ADDITIVE = ActuatorPolicy()
 MULTIPLICATIVE = ActuatorPolicy(mode=ActuationMode.MULTIPLICATIVE)
 
+# Valid actuation inputs, with the edges where no share moves drawn often:
+# shares at their floor or at 1.0, a zero delta, a delta too small to move.
+unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+one_delta = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(-100.0, 100.0),
+)
+
+
+@st.composite
+def policies(draw):
+    return ActuatorPolicy(
+        throttle_step=draw(unit_open),
+        mode=draw(st.sampled_from(ActuationMode)),
+        targets=tuple(draw(st.lists(st.sampled_from(RESOURCES), min_size=1, unique=True))),
+        **{f"floor_{name}": draw(unit_open) for name in RESOURCES},
+    )
+
+
+@st.composite
+def shares_within(draw, policy):
+    values = {}
+    for name in RESOURCES:
+        low = policy.floor(name) if name in policy.targets else 5e-324
+        values[name] = draw(st.one_of(st.sampled_from([low, 1.0]), st.floats(low, 1.0)))
+    return ResourceShares(**values)
+
 
 class TestResourceShares:
     def test_defaults_are_all_ones(self):
@@ -96,9 +123,29 @@ class TestActuate:
         assert moved.cpu == 0.9
         assert moved.memory == 1.0
 
-    def test_zero_delta_is_identity(self):
-        shares = ResourceShares(cpu=0.37)
-        assert actuate(shares, 0.0, ADDITIVE) is shares
+    @pytest.mark.parametrize(
+        ("shares", "delta", "policy"),
+        [
+            (ResourceShares(cpu=0.37), 0.0, ADDITIVE),
+            (ResourceShares(cpu=0.01), 2.0, ADDITIVE),
+            (ResourceShares(cpu=0.01), 2.0, MULTIPLICATIVE),
+            (ResourceShares(memory=0.5), -1.0, ADDITIVE),
+            (ResourceShares(memory=0.5), -1.0, MULTIPLICATIVE),
+        ],
+        ids=["zero-delta", "throttle-at-floor", "multiplicative-throttle-at-floor",
+             "restore-at-full", "multiplicative-restore-at-full"],
+    )
+    def test_zero_delta_is_identity(self, shares, delta, policy):
+        # A delta that moves no targeted share hands back the very object.
+        assert actuate(shares, delta, policy) is shares
+
+    @given(data=st.data())
+    def test_identity_exactly_when_no_share_moves(self, data):
+        policy = data.draw(policies())
+        shares = data.draw(shares_within(policy))
+        delta = data.draw(one_delta)
+        moved = actuate(shares, delta, policy)
+        assert (moved is shares) == (moved == shares)
 
     def test_additive_floor_clamp(self):
         shares = ResourceShares(cpu=0.04)

@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through main()."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -316,6 +317,36 @@ class TestSupervisePid:
         )
         assert not out.exists()
         assert sleeper.poll() is None
+
+    @pytest.mark.parametrize(
+        ("pid", "message"),
+        [
+            ("0", "pid must be between 1 and 2147483647, got 0"),
+            ("-1", "pid must be between 1 and 2147483647, got -1"),
+            ("99999999999", "pid must be between 1 and 2147483647, got 99999999999"),
+            ("own", "pid {own} is quell's own process"),
+        ],
+        ids=["zero", "negative", "too-large", "own"],
+    )
+    def test_pid_naming_no_single_other_process_is_rejected_before_the_output_directory(
+        self, tmp_path, quick_scenario, capsys, monkeypatch, pid, message
+    ):
+        own = str(os.getpid())
+        sent = []
+        monkeypatch.setattr(os, "kill", lambda *call: sent.append(call))
+        out = tmp_path / "out"
+        code = main(
+            [
+                "supervise",
+                "--scenario", str(quick_scenario),
+                "--out", str(out),
+                "--pid", own if pid == "own" else pid,
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message.format(own=own)}\n"
+        assert not out.exists()
+        assert sent == []
 
     def test_dead_pid_is_rejected_before_the_output_directory(self, tmp_path, quick_scenario, capsys):
         child = subprocess.Popen(["true"])

@@ -88,7 +88,6 @@ class TestApplyShares:
         ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
         assert ack.noop is True
         assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5)
-        assert adapter.calls[-1].redundant is True
 
     def test_reapplying_the_defaults_is_redundant(self):
         adapter = FakeHostAdapter()
@@ -196,6 +195,50 @@ class TestLinuxSignalAdapter:
             adapter.close()
         assert sleeper.wait(timeout=5) != 0
         assert adapter.poll(handle) is False
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        """Signals ``os.kill`` was asked to send; none reaches a process."""
+        calls = []
+
+        def recording_kill(pid, signo):
+            calls.append((pid, signo))
+            raise ProcessLookupError(pid)
+
+        monkeypatch.setattr(os, "kill", recording_kill)
+        return calls
+
+    @pytest.mark.parametrize("pid", [0, -1, -2, 2**31, 99999999999])
+    def test_pid_naming_no_single_process_is_rejected_unsignalled(self, pid, sent):
+        with pytest.raises(ValueError) as excinfo:
+            LinuxSignalAdapter().attach(pid)
+        assert str(excinfo.value) == f"pid must be between 1 and 2147483647, got {pid}"
+        assert sent == []
+
+    @pytest.mark.parametrize("pid", [1, 2**31 - 1])
+    def test_pids_at_the_range_ends_are_looked_up(self, pid, sent):
+        with pytest.raises(StaleHandleError, match=f"^no such process: {pid}$"):
+            LinuxSignalAdapter().attach(pid)
+        assert {signo for _, signo in sent} == {0}
+
+    def test_own_pid_is_rejected_unsignalled(self, sent):
+        with pytest.raises(ValueError) as excinfo:
+            LinuxSignalAdapter().attach(os.getpid())
+        assert str(excinfo.value) == f"pid {os.getpid()} is quell's own process"
+        assert sent == []
+
+    def test_pid_quell_may_not_signal_is_rejected(self, monkeypatch):
+        sent = []
+
+        def denied_kill(pid, signo):
+            sent.append((pid, signo))
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "kill", denied_kill)
+        with pytest.raises(ValueError) as excinfo:
+            LinuxSignalAdapter().attach(4242)
+        assert str(excinfo.value) == "not permitted to signal process 4242"
+        assert sent == [(4242, 0)]
 
     def test_attach_to_dead_pid_raises(self, sleeper):
         sleeper.kill()

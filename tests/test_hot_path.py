@@ -7,6 +7,7 @@ hold each shortcut to the plain form it replaces.
 """
 
 import dataclasses
+import dis
 import inspect
 import math
 import types
@@ -180,3 +181,18 @@ def test_records_read_member_values_directly():
     # ``value`` is a property on every member; ``_value_`` is the plain
     # attribute it returns.
     assert "value" not in simulation._run_process.__code__.co_names
+
+
+# -- the supervisor applies on identity -----------------------------------------
+
+
+def test_supervise_compares_nothing_by_value():
+    # ``respond`` hands back the shares it was given unless one moved, so
+    # the loop applies on ``is not`` alone and never calls ``__eq__``.
+    compared = [
+        instruction.argval
+        for code in code_objects(supervisor.supervise.__code__)
+        for instruction in dis.get_instructions(code)
+        if instruction.opname == "COMPARE_OP" and instruction.argval in ("==", "!=")
+    ]
+    assert compared == []

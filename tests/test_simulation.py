@@ -6,6 +6,8 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quell.actuation import (
     DEFAULT_SHARES,
@@ -47,6 +49,7 @@ from quell.threat import (
 )
 
 from reference import fold_sum, reference_progress, reference_slowdown
+from test_actuation import policies, shares_within
 
 M, B = Verdict.MALICIOUS, Verdict.BENIGN
 INC = AssessmentPolicy.incremental()
@@ -611,6 +614,38 @@ class TestRespond:
         assert ledger.state is LifecycleState.TERMINABLE
         assert ledger.measurements == 2
         assert shares.cpu < 1.0
+
+    @given(data=st.data())
+    def test_shares_come_back_as_given_exactly_when_none_moved(self, data):
+        actuator = data.draw(policies())
+        shares = data.draw(st.one_of(st.builds(ResourceShares), shares_within(actuator)))
+        score = st.floats(0.0, 100.0)
+        state = data.draw(
+            st.sampled_from(
+                [LifecycleState.NORMAL, LifecycleState.SUSPICIOUS, LifecycleState.TERMINABLE]
+            )
+        )
+        measurements = data.draw(st.integers(0, 20))
+        ledger = ThreatLedger(
+            data.draw(score), data.draw(score), data.draw(score), state, measurements, measurements
+        )
+        growth = st.sampled_from(
+            [INC, AssessmentPolicy.linear(1.5, 2.0), AssessmentPolicy.exponential()]
+        )
+        scenario = replace(
+            cpu_scenario([M], 5, measurements + data.draw(st.integers(1, 5))),
+            penalty_policy=data.draw(growth),
+            compensation_policy=data.draw(growth),
+            actuator=actuator,
+        )
+        _, out = respond(ledger, shares, data.draw(st.sampled_from([M, B])), scenario)
+        assert (out is shares) == (out == shares)
+
+    def test_benign_resolve_keeps_shares_already_at_the_defaults(self):
+        shares = ResourceShares()
+        ledger, out = respond(TERMINABLE, shares, B, cpu_scenario([M], 5, 3))
+        assert ledger.state is LifecycleState.TERMINABLE
+        assert out is shares
 
     def test_terminated_ledger_is_rejected(self):
         scenario = cpu_scenario([M], 5, 3)

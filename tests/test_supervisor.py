@@ -9,7 +9,14 @@ import pytest
 from quell.actuation import DEFAULT_SHARES, RESOURCES, ActuationMode, ActuatorPolicy, ResourceShares
 from quell.detectors import GroundTruth, StochasticSource, ThresholdSource, TraceSource
 from quell.hostadapter import FakeHostAdapter, format_shares
-from quell.simulation import ProcessSpec, ProgressModel, Proportional, Scenario, run_scenario
+from quell.simulation import (
+    ProcessSpec,
+    ProgressModel,
+    Proportional,
+    Scenario,
+    ScenarioError,
+    run_scenario,
+)
 from quell.supervisor import SUPERVISION_CSV_HEADER, SupervisionReport, supervise
 from quell.threat import AssessmentPolicy, Verdict
 
@@ -281,6 +288,18 @@ class TestSimulatorDifferential:
                 assert report.shares == shares, where
                 outcomes.add(last.state)
         assert {"terminated", "terminable", "suspicious", "normal"} <= outcomes
+
+
+class TestDrySource:
+    def test_both_drivers_raise_the_same_error(self):
+        # The trace covers epochs [1, 3) of 6, so epoch 3 finds it dry.
+        scenario = make_scenario([cpu_spec("p", [M, B])], epochs=6, budget=10)
+        with pytest.raises(ScenarioError) as simulated:
+            run_scenario(scenario)
+        with pytest.raises(ScenarioError) as supervised:
+            supervise(scenario, FakeHostAdapter())
+        assert str(supervised.value) == str(simulated.value)
+        assert str(supervised.value) == "process 'p': trace covers epochs [1, 3), requested 3"
 
 
 class TestReportShape:
