@@ -30,9 +30,13 @@ written by hand: it validates, then fills the instance dict field by
 field. The frozen dataclass's generated one sets each field through
 ``object.__setattr__``, which costs about twice as much. Filling the
 existing dict rather than assigning a new one keeps the instances'
-shared-key dicts. ``_move`` reads the actuation mode's member through a
-module-level alias, because a read through an ``Enum`` class takes its
-metaclass's slow ``__getattr__`` path.
+shared-key dicts. ``__eq__`` is written by hand too: it compares the
+four floats in field order and stops at the first difference, where the
+generated one builds two tuples first; ``dataclass`` still generates the
+field-tuple ``__hash__``, so equal shares hash alike. ``_move`` reads
+the actuation mode's member through a module-level alias, because a
+read through an ``Enum`` class takes its metaclass's slow
+``__getattr__`` path.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "RESOURCES",
@@ -87,6 +91,16 @@ class ResourceShares:
         fields["memory"] = memory
         fields["network"] = network
         fields["filesystem"] = filesystem
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.cpu == other.cpu
+            and self.memory == other.memory
+            and self.network == other.network
+            and self.filesystem == other.filesystem
+        )
 
     def get(self, resource: str) -> float:
         if resource not in RESOURCES:

@@ -3,15 +3,21 @@
 An adapter exposes the three calls the supervisor makes: ``poll`` (is
 the process still there), ``apply_shares`` (set resource limits to
 shares of the attach-time defaults), and ``terminate``. The last two
-answer with an ``Ack``: ``noop`` marks an idempotent repeat, and
-``unsupported`` names the resources the host cannot limit (every other
-resource was applied). Handle validity is checked before every call;
-applying shares to a process that is gone raises ``StaleHandleError``,
-while ``terminate`` acknowledges it as a no-op.
+answer with an ``Ack``: ``noop`` marks a call that changed nothing the
+host controls, and ``unsupported`` names the resources the host cannot
+limit (every other resource was applied). Handle validity is checked
+before every call; applying shares to a process that is gone raises
+``StaleHandleError``, while ``terminate`` acknowledges it as a no-op.
 
 ``FakeHostAdapter`` is fully scripted and is what every test drives. It
 keeps an append-only call log (exportable as CSV), and its ``Ack`` marks
-a redundant apply as a no-op, so idempotence is observable.
+a redundant apply as a no-op, so idempotence is observable. The log is
+compact: one ``(handle, call, args)`` tuple per call, whose ``args`` is
+formatted when the call is made, once per distinct shares value, so
+equal shares share one string. ``calls`` builds the ``CallRecord`` list
+from it on each read and returns a fresh list. Acks are immutable, so
+the fake answers every apply with one of two instances it builds up
+front.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
@@ -68,8 +74,10 @@ class ProcessHandle:
 class Ack:
     """Acknowledgment for one adapter call.
 
-    ``noop`` marks idempotent repeats (terminating an exited process,
-    re-applying current shares).
+    ``noop`` marks a call that changed nothing the host controls:
+    terminating an exited process, or an apply whose every limitable
+    share already holds its requested value, whatever it asked of the
+    resources the host cannot limit.
     ``unsupported`` lists resources this host cannot limit; the rest
     were still applied.
     """
@@ -124,8 +132,11 @@ class FakeHostAdapter:
         if unknown:
             raise ValueError(f"unknown resources: {unknown}")
         self.unsupported = tuple(r for r in RESOURCES if r in set(unsupported))
-        self.calls: list[CallRecord] = []
         self._processes: dict[str, _FakeProcess] = {}
+        self._log: list[tuple[str, str, str]] = []
+        self._formatted: dict[tuple[float, float, float, float], str] = {}
+        self._applied = Ack(unsupported=self.unsupported)
+        self._unchanged = Ack(noop=True, unsupported=self.unsupported)
 
     # -- scripting surface -------------------------------------------------
 
@@ -133,7 +144,7 @@ class FakeHostAdapter:
         if ident in self._processes:
             raise ValueError(f"process {ident!r} already exists")
         self._processes[ident] = _FakeProcess(shares=DEFAULT_SHARES)
-        self._log(ident, "attach", format_shares(DEFAULT_SHARES))
+        self._log.append((ident, "attach", self._format(DEFAULT_SHARES)))
         return ProcessHandle(ident=ident)
 
     def script_natural_exit(self, handle: ProcessHandle) -> None:
@@ -147,21 +158,21 @@ class FakeHostAdapter:
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         proc = self._live(handle)
-        self._log(handle.ident, "apply_shares", format_shares(shares))
-        if shares == proc.shares:
-            return Ack(noop=True, unsupported=self.unsupported)
+        self._log.append((handle.ident, "apply_shares", self._format(shares)))
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
             shares = replace(shares, **{r: proc.shares.get(r) for r in self.unsupported})
+        if shares == proc.shares:
+            return self._unchanged
         proc.shares = shares
-        return Ack(unsupported=self.unsupported)
+        return self._applied
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         proc = self._lookup(handle)
         if not proc.alive:
             return Ack(noop=True)
         proc.alive = False
-        self._log(handle.ident, "terminate", "")
+        self._log.append((handle.ident, "terminate", ""))
         return Ack()
 
     # -- inspection and export ----------------------------------------------
@@ -169,13 +180,28 @@ class FakeHostAdapter:
     def applied_shares(self, handle: ProcessHandle) -> ResourceShares:
         return self._lookup(handle).shares
 
+    @property
+    def calls(self) -> list[CallRecord]:
+        """Every call so far, in order; a new list on each read."""
+        return [CallRecord(seq, *entry) for seq, entry in enumerate(self._log)]
+
     def export_calls_csv(self, destination: str | Path | io.TextIOBase) -> None:
-        write_rows(destination, CALLS_CSV_HEADER, (record.csv_row() for record in self.calls))
+        write_rows(
+            destination,
+            CALLS_CSV_HEADER,
+            ((str(seq), *entry) for seq, entry in enumerate(self._log)),
+        )
 
     # -- internals ------------------------------------------------------------
 
-    def _log(self, ident: str, call: str, args: str) -> None:
-        self.calls.append(CallRecord(seq=len(self.calls), handle=ident, call=call, args=args))
+    def _format(self, shares: ResourceShares) -> str:
+        # Shares lie in (0, 1], so no key is a NaN or a signed zero, and
+        # equal keys always format alike.
+        key = (shares.cpu, shares.memory, shares.network, shares.filesystem)
+        args = self._formatted.get(key)
+        if args is None:
+            args = self._formatted[key] = format_shares(shares)
+        return args
 
     def _lookup(self, handle: ProcessHandle) -> _FakeProcess:
         proc = self._processes.get(handle.ident)
@@ -184,7 +210,9 @@ class FakeHostAdapter:
         return proc
 
     def _live(self, handle: ProcessHandle) -> _FakeProcess:
-        proc = self._lookup(handle)
+        proc = self._processes.get(handle.ident)
+        if proc is None:
+            raise StaleHandleError(f"unknown handle {handle.ident!r}")
         if not proc.alive:
             raise StaleHandleError(f"process {handle.ident!r} already exited")
         return proc
@@ -226,7 +254,8 @@ class LinuxSignalAdapter:
     """Signal-driven control of real local processes (Linux only).
 
     CPU is the one resource this adapter can limit, via duty-cycling;
-    the other resources are acknowledged as unsupported. Intended for
+    the other resources are acknowledged as unsupported, so an apply
+    that leaves the CPU share as it was is a no-op. Intended for
     supervising a single pid from the command line, not for fleets.
     """
 
@@ -236,7 +265,7 @@ class LinuxSignalAdapter:
 
     def __init__(self) -> None:
         self._cyclers: dict[str, _DutyCycler] = {}
-        self._shares: dict[str, ResourceShares] = {}
+        self._cpu: dict[str, float] = {}
 
     def attach(self, pid: int) -> ProcessHandle:
         """Handle for ``pid``, which must name one process other than quell.
@@ -260,7 +289,7 @@ class LinuxSignalAdapter:
         if not self._pid_exists(pid):
             raise StaleHandleError(f"no such process: {pid}")
         handle = ProcessHandle(ident=str(pid))
-        self._shares[handle.ident] = DEFAULT_SHARES
+        self._cpu[handle.ident] = DEFAULT_SHARES.cpu
         return handle
 
     def poll(self, handle: ProcessHandle) -> bool:
@@ -268,7 +297,7 @@ class LinuxSignalAdapter:
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         pid = self._require_alive(handle)
-        if shares == self._shares.get(handle.ident):
+        if shares.cpu == self._cpu.get(handle.ident):
             return Ack(noop=True, unsupported=self._UNSUPPORTED)
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
@@ -281,7 +310,7 @@ class LinuxSignalAdapter:
                 cycler.start()
             else:
                 cycler.fraction = shares.cpu
-        self._shares[handle.ident] = shares
+        self._cpu[handle.ident] = shares.cpu
         return Ack(unsupported=self._UNSUPPORTED)
 
     def terminate(self, handle: ProcessHandle) -> Ack:

@@ -95,6 +95,25 @@ class TestApplyShares:
         ack = adapter.apply_shares(handle, ResourceShares())
         assert ack.noop is True
 
+    def test_identical_repeat_is_a_noop_on_a_host_with_unsupported_resources(self):
+        adapter = FakeHostAdapter(unsupported=("filesystem",))
+        handle = adapter.spawn("worker")
+        assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5)).noop is False
+        assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5)).noop is True
+
+    def test_repeat_differing_only_in_an_unsupported_resource_is_a_noop(self):
+        adapter = FakeHostAdapter(unsupported=("filesystem",))
+        handle = adapter.spawn("worker")
+        adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5))
+        ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.25))
+        assert ack == Ack(noop=True, unsupported=("filesystem",))
+        assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5)
+        # The log still holds what was asked for.
+        assert [c.args for c in adapter.calls if c.call == "apply_shares"] == [
+            "cpu=0.500000;mem=1.000000;net=1.000000;fs=0.500000",
+            "cpu=0.500000;mem=1.000000;net=1.000000;fs=0.250000",
+        ]
+
     def test_unsupported_resources_are_skipped_but_reported(self):
         adapter = FakeHostAdapter(unsupported=("memory",))
         handle = adapter.spawn("worker")
@@ -195,6 +214,17 @@ class TestLinuxSignalAdapter:
             adapter.close()
         assert sleeper.wait(timeout=5) != 0
         assert adapter.poll(handle) is False
+
+    def test_apply_that_leaves_the_cpu_share_as_it_was_is_a_noop(self, sleeper):
+        adapter = LinuxSignalAdapter()
+        try:
+            handle = adapter.attach(sleeper.pid)
+            assert adapter.apply_shares(handle, ResourceShares(memory=0.5)).noop is True
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is True
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, memory=0.9)).noop is True
+        finally:
+            adapter.close()
 
     @pytest.fixture
     def sent(self, monkeypatch):

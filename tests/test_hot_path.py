@@ -1,14 +1,16 @@
 """The per-epoch fast paths behave exactly like the code they stand for.
 
 ``ThreatLedger`` and ``ResourceShares`` have hand-written constructors,
-``clamp`` returns early for a score already in range, and the per-epoch
-functions read enum members through module-level aliases. These tests
-hold each shortcut to the plain form it replaces.
+``ResourceShares`` a hand-written ``__eq__``, ``clamp`` returns early for
+a score already in range, the per-epoch functions read enum members
+through module-level aliases, and the fake host keeps a compact call
+log. These tests hold each shortcut to the plain form it replaces.
 """
 
 import dataclasses
 import dis
 import inspect
+import io
 import math
 import types
 
@@ -17,7 +19,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quell import actuation, detectors, simulation, supervisor, threat
-from quell.actuation import ResourceShares
+from quell.actuation import RESOURCES, ResourceShares
+from quell.csvio import write_rows
+from quell.hostadapter import (
+    CALLS_CSV_HEADER,
+    Ack,
+    CallRecord,
+    FakeHostAdapter,
+    ProcessHandle,
+    StaleHandleError,
+    format_shares,
+)
 from quell.threat import LifecycleState, ThreatLedger, clamp
 
 # -- hand-written constructors -------------------------------------------------
@@ -95,6 +107,31 @@ def test_replace_changes_only_the_named_field(cls, values, others):
         assert [getattr(replaced, n) for n in names] == [
             *values[:index], others[index], *values[index + 1 :]
         ]
+
+
+share = st.floats(0.0, 1.0, exclude_min=True)
+four_shares = st.lists(share, min_size=4, max_size=4)
+
+
+@given(four_shares, four_shares, st.lists(st.booleans(), min_size=4, max_size=4))
+@example([0.5, 0.9, 0.25, 0.75], [0.5, 0.9, 0.25, 0.75], [False] * 4)
+@example([0.5, 0.9, 0.25, 0.75], [1.0, 1.0, 1.0, 1.0], [True] * 4)
+def test_shares_eq_and_hash_follow_the_field_tuples(first, second, kept):
+    # ``b`` is built separately, taking each field from ``first`` where
+    # ``kept`` says so and from ``second`` elsewhere.
+    a = ResourceShares(*first)
+    b = ResourceShares(*(f if keep else s for f, s, keep in zip(first, second, kept)))
+    same = dataclasses.astuple(a) == dataclasses.astuple(b)
+    assert (a == b) is same
+    assert (a != b) is not same
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_shares_leave_other_classes_to_the_other_operand():
+    assert ResourceShares().__eq__(None) is NotImplemented
+    assert ResourceShares().__eq__((1.0, 1.0, 1.0, 1.0)) is NotImplemented
+    assert ResourceShares() != None  # noqa: E711
 
 
 def test_replace_still_validates():
@@ -196,3 +233,127 @@ def test_supervise_compares_nothing_by_value():
         if instruction.opname == "COMPARE_OP" and instruction.argval in ("==", "!=")
     ]
     assert compared == []
+
+
+# -- the fake host's compact call log ---------------------------------------------
+
+# Identifiers that the CSV writer must quote, next to one it need not.
+IDENTS = ("worker", "a,b", 'say "hi"', "two\nlines", " padded ")
+# Shares drawn from SHARES_VALUES or from a field-by-field variant of it
+# often equal, or differ in one field only from, shares drawn before.
+VARIANTS = [SHARES_VALUES] + [
+    SHARES_VALUES[:index] + (other,) + SHARES_VALUES[index + 1 :]
+    for index, other in enumerate(SHARES_OTHERS)
+]
+shares_values = st.sampled_from(VARIANTS).map(lambda values: ResourceShares(*values)) | st.builds(
+    ResourceShares, *[share for _ in RESOURCES]
+)
+# Every identifier but the last is spawned before the scripted steps.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(("apply", "apply", "apply", "spawn", "terminate", "exit")),
+        st.sampled_from(IDENTS + ("ghost",)),
+        shares_values,
+    ),
+    min_size=10,
+    max_size=60,
+)
+
+
+class EagerHost:
+    """The fake host as it was before its log went compact: a
+    ``CallRecord`` built and its args formatted on every call, and a new
+    ``Ack`` for every answer."""
+
+    def __init__(self, unsupported):
+        self.unsupported = tuple(r for r in RESOURCES if r in unsupported)
+        self.calls, self.requested, self.shares, self.alive = [], [], {}, {}
+
+    def log(self, ident, call, shares):
+        args = "" if shares is None else format_shares(shares)
+        self.calls.append(CallRecord(len(self.calls), ident, call, args))
+        self.requested.append(shares)
+
+    def step(self, kind, ident, shares):
+        if kind == "spawn":
+            if ident in self.shares:
+                raise ValueError(ident)
+            self.shares[ident], self.alive[ident] = ResourceShares(), True
+            self.log(ident, "attach", ResourceShares())
+            return None
+        if ident not in self.shares:
+            raise StaleHandleError(ident)
+        if kind == "exit":
+            self.alive[ident] = False
+            return None
+        if kind == "terminate":
+            if not self.alive[ident]:
+                return Ack(noop=True)
+            self.alive[ident] = False
+            self.log(ident, "terminate", None)
+            return Ack()
+        if not self.alive[ident]:
+            raise StaleHandleError(ident)
+        self.log(ident, "apply_shares", shares)
+        current = self.shares[ident]
+        effective = dataclasses.replace(
+            shares, **{r: getattr(current, r) for r in self.unsupported}
+        )
+        noop = dataclasses.astuple(effective) == dataclasses.astuple(current)
+        self.shares[ident] = effective
+        return Ack(noop=noop, unsupported=self.unsupported)
+
+
+def run_step(host, kind, ident, shares):
+    handle = ProcessHandle(ident)
+    try:
+        if kind == "spawn":
+            return host.spawn(ident), None
+        if kind == "exit":
+            return host.script_natural_exit(handle), None
+        if kind == "terminate":
+            return host.terminate(handle), None
+        return host.apply_shares(handle, shares), None
+    except (StaleHandleError, ValueError) as exc:
+        return None, type(exc)
+
+
+@given(st.sets(st.sampled_from(RESOURCES)), steps)
+def test_compact_log_matches_the_eager_one(unsupported, script):
+    adapter = FakeHostAdapter(unsupported=tuple(unsupported))
+    eager = EagerHost(unsupported)
+    for kind, ident, shares in [("spawn", ident, None) for ident in IDENTS] + script:
+        answer, raised = run_step(adapter, kind, ident, shares)
+        try:
+            want = eager.step(kind, ident, shares)
+        except (StaleHandleError, ValueError) as exc:
+            assert raised is type(exc)
+            continue
+        assert raised is None
+        if kind in ("apply", "terminate"):
+            assert answer == want
+
+    calls = adapter.calls
+    assert calls == eager.calls
+    assert adapter.calls is not calls
+
+    exported, rewritten = io.StringIO(), io.StringIO()
+    adapter.export_calls_csv(exported)
+    write_rows(rewritten, CALLS_CSV_HEADER, [c.csv_row() for c in calls])
+    assert exported.getvalue() == rewritten.getvalue()
+
+    # Equal shares, however often built, share one args string.
+    by_value = {}
+    for record, shares in zip(calls, eager.requested):
+        if shares is not None:
+            assert by_value.setdefault(dataclasses.astuple(shares), record.args) is record.args
+
+
+def test_fake_apply_builds_no_record_and_no_ack():
+    named = {
+        name
+        for function in (FakeHostAdapter.apply_shares, FakeHostAdapter._format)
+        for code in code_objects(function.__code__)
+        for name in code.co_names
+    }
+    assert not named & {"CallRecord", "Ack"}
