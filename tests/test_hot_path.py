@@ -114,7 +114,7 @@ four_shares = st.lists(share, min_size=4, max_size=4)
 
 
 @given(four_shares, four_shares, st.lists(st.booleans(), min_size=4, max_size=4))
-@example([0.5, 0.9, 0.25, 0.75], [0.5, 0.9, 0.25, 0.75], [False] * 4)
+@example([0.5, 0.9, 0.25, 0.75], [0.5, 0.9, 0.25, 0.5], [False] * 4)
 @example([0.5, 0.9, 0.25, 0.75], [1.0, 1.0, 1.0, 1.0], [True] * 4)
 def test_shares_eq_and_hash_follow_the_field_tuples(first, second, kept):
     # ``b`` is built separately, taking each field from ``first`` where
@@ -261,9 +261,8 @@ steps = st.lists(
 
 
 class EagerHost:
-    """The fake host as it was before its log went compact: a
-    ``CallRecord`` built and its args formatted on every call, and a new
-    ``Ack`` for every answer."""
+    """Reference for ``FakeHostAdapter``: a ``CallRecord`` built and its
+    args formatted on every call, and a new ``Ack`` for every answer."""
 
     def __init__(self, unsupported):
         self.unsupported = tuple(r for r in RESOURCES if r in unsupported)
