@@ -150,18 +150,27 @@ def cmd_supervise(args: argparse.Namespace) -> int:
             previous_handlers[signo] = signal.signal(signo, lambda *_: stop.set())
         except ValueError:  # not the main thread
             pass
+    returned = False
     try:
         reports = supervise(
             scenario, adapter, handles=handles, pace_seconds=pace_seconds, stop=stop
         )
+        returned = True
     finally:
         for signo, handler in previous_handlers.items():
             signal.signal(signo, handler)
         if isinstance(adapter, LinuxSignalAdapter):
             adapter.close()
+        else:
+            # Also after a failure: the calls made so far record what the run did.
+            try:
+                adapter.export_calls_csv(out_dir / "calls.csv")
+            except OSError as exc:
+                if returned:
+                    raise
+                # Leave the error that stopped the run as the one reported.
+                logger.warning("could not write %s: %s", out_dir / "calls.csv", exc)
 
-    if args.fake_adapter:
-        adapter.export_calls_csv(out_dir / "calls.csv")
     rows = (report.csv_row() for report in reports)
     write_rows(out_dir / "supervision.csv", SUPERVISION_CSV_HEADER, rows)
     for report in reports:

@@ -6,7 +6,10 @@ whitespace-only rows are skipped, every other row has one field per
 header column, and every row error names ``path:line``, as does the
 first byte that is not UTF-8. Output files (``log.csv``, ``slowdown.csv``,
 ``calls.csv``, ``supervision.csv``) are UTF-8 with LF line endings and
-minimal quoting, written to a path or to an open text stream.
+minimal quoting, written to a path or to an open text stream. The short
+reports go through ``csv.writer`` (``write_rows``); the two long logs
+spell each row as one line and stream the lines out (``write_lines``),
+so neither builds its file as one string.
 """
 
 from __future__ import annotations
@@ -116,8 +119,11 @@ def write_lines(
     """Write ``header`` and then rows already spelled as ``write_rows`` spells them.
 
     The caller owns the quoting of every cell in ``lines`` (``quote_cell``
-    does it for free text); each line ends in LF. Everything goes out in
-    one ``write`` call.
+    does it for free text); each line ends in LF. The header is written
+    before the first line is asked for, and the lines then stream through
+    ``writelines``, so ``lines`` may be a one-shot generator and the file
+    is never held whole in memory.
     """
     with _text_sink(destination) as handle:
-        handle.write(_format_row(header) + "".join(lines))
+        handle.write(_format_row(header))
+        handle.writelines(lines)

@@ -15,9 +15,9 @@ a redundant apply as a no-op, so idempotence is observable. The log is
 compact: one ``(handle, call, args)`` tuple per call, whose ``args`` is
 formatted when the call is made, once per distinct shares value, so
 equal shares share one string. ``calls`` builds the ``CallRecord`` list
-from it on each read and returns a fresh list. Acks are immutable, so
-the fake answers every apply with one of two instances it builds up
-front.
+from it on each read and returns a fresh list, and the CSV export spells
+each row straight from the log as one line. Acks are immutable, so the
+fake answers every apply with one of two instances it builds up front.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
@@ -37,10 +37,10 @@ import signal
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .actuation import DEFAULT_SHARES, RESOURCES, ResourceShares
-from .csvio import write_rows
+from .csvio import quote_cell, write_lines
 
 __all__ = [
     "StaleHandleError",
@@ -186,13 +186,25 @@ class FakeHostAdapter:
         return [CallRecord(seq, *entry) for seq, entry in enumerate(self._log)]
 
     def export_calls_csv(self, destination: str | Path | io.TextIOBase) -> None:
-        write_rows(
-            destination,
-            CALLS_CSV_HEADER,
-            ((str(seq), *entry) for seq, entry in enumerate(self._log)),
-        )
+        """Write ``calls.csv``: the bytes ``write_rows`` gives over each
+        ``csv_row`` of ``calls``.
+
+        A call name and a ``format_shares`` cell hold only letters, digits,
+        ``.``, ``=`` and ``;``, none of which the writer would quote, so each
+        row is one f-string; each handle is quoted once. The rows stream out
+        as they are spelled.
+        """
+        write_lines(destination, CALLS_CSV_HEADER, self._csv_lines())
 
     # -- internals ------------------------------------------------------------
+
+    def _csv_lines(self) -> Iterator[str]:
+        ids: dict[str, str] = {}
+        for seq, (ident, call, args) in enumerate(self._log):
+            id_cell = ids.get(ident)
+            if id_cell is None:
+                id_cell = ids[ident] = quote_cell(ident)
+            yield f"{seq},{id_cell},{call},{args}\n"
 
     def _format(self, shares: ResourceShares) -> str:
         # Shares lie in (0, 1], so no key is a NaN or a signed zero, and

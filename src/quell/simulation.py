@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .actuation import (
     DEFAULT_SHARES,
@@ -346,12 +346,14 @@ class ScenarioLog:
         Every cell but the process id is an int, a fixed-point float or
         an enum value, none of which the writer would quote, so each row
         is one f-string. Ids are quoted once each, and the four share
-        cells are formatted once per distinct shares.
+        cells are formatted once per distinct shares. The rows stream out
+        as they are spelled.
         """
+        write_lines(destination, LOG_CSV_HEADER, self._csv_lines())
+
+    def _csv_lines(self) -> Iterator[str]:
         ids: dict[str, str] = {}
         shares: dict[tuple[float, float, float, float], str] = {}
-        lines = []
-        append = lines.append
         for (
             epoch, process_id, verdict, penalty, compensation, threat_index, state,
             cpu, memory, network, filesystem, progress, cumulative,
@@ -365,11 +367,10 @@ class ScenarioLog:
                 share_cells = f"{cpu:.6f},{memory:.6f},{network:.6f},{filesystem:.6f}"
                 if 0.0 not in key:  # 0.0 and -0.0 are one key but print apart
                     shares[key] = share_cells
-            append(
+            yield (
                 f"{epoch},{id_cell},{verdict},{penalty:.6f},{compensation:.6f},"
                 f"{threat_index:.6f},{state},{share_cells},{progress:.6f},{cumulative:.6f}\n"
             )
-        write_lines(destination, LOG_CSV_HEADER, lines)
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()

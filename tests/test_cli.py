@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through main()."""
 
+import io
 import os
 import shutil
 import subprocess
@@ -7,7 +8,10 @@ import sys
 
 import pytest
 
+from quell import cli
 from quell.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNREACHABLE, main
+from quell.csvio import write_rows
+from quell.hostadapter import CALLS_CSV_HEADER, FakeHostAdapter
 
 DIPPING_CURVE = """\
 measurements,f1,fpr
@@ -215,6 +219,61 @@ class TestSuperviseFake:
             "process,final_state,epochs_run,exit_reason,cpu,mem,net,fs",
             "attack,terminated,16,detector,0.010000,1.000000,1.000000,1.000000",
         ]
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        """The CLI's fake host fails its third apply; holds the calls logged by then."""
+        at_failure = []
+
+        class RefusingHost(FakeHostAdapter):
+            applies = 0
+
+            def apply_shares(self, handle, shares):
+                self.applies += 1
+                if self.applies == 3:
+                    at_failure.extend(self.calls)
+                    raise OSError("host refused the limit")
+                return super().apply_shares(handle, shares)
+
+        monkeypatch.setattr(cli, "FakeHostAdapter", RefusingHost)
+        return at_failure
+
+    @staticmethod
+    def run_attack(tmp_path, configs_dir) -> int:
+        scenario = str(configs_dir / "supervised_attack.ini")
+        return main(["supervise", "--scenario", scenario, "--out", str(tmp_path), "--fake-adapter"])
+
+    def test_failed_run_keeps_the_calls_made_before_it_failed(
+        self, tmp_path, configs_dir, capsys, refused
+    ):
+        assert self.run_attack(tmp_path, configs_dir) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: host refused the limit\n"
+        assert [call.call for call in refused] == ["attach", "apply_shares", "apply_shares"]
+        expected = io.StringIO()
+        write_rows(expected, CALLS_CSV_HEADER, [call.csv_row() for call in refused])
+        assert (tmp_path / "calls.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_failed_export_leaves_the_error_that_stopped_the_run(
+        self, tmp_path, configs_dir, capsys, caplog, refused, monkeypatch
+    ):
+        def no_space(self, destination):
+            raise OSError("no space left for calls.csv")
+
+        monkeypatch.setattr(FakeHostAdapter, "export_calls_csv", no_space)
+        assert self.run_attack(tmp_path, configs_dir) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1] == "error: host refused the limit"
+        assert "could not write" in caplog.text
+        assert "no space left for calls.csv" in caplog.text
+
+    def test_failed_export_after_a_finished_run_is_the_error(
+        self, tmp_path, configs_dir, capsys, monkeypatch
+    ):
+        def no_space(self, destination):
+            raise OSError("no space left for calls.csv")
+
+        monkeypatch.setattr(FakeHostAdapter, "export_calls_csv", no_space)
+        assert self.run_attack(tmp_path, configs_dir) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: no space left for calls.csv\n"
 
 
 needs_linux = pytest.mark.skipif(

@@ -1,15 +1,19 @@
-"""Line numbers across multi-line fields, and the line-formatted log writer."""
+"""Line numbers across multi-line fields, and the line-formatted log writers."""
 
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from quell.actuation import ResourceShares
 from quell.config import ConfigError, load_scenario
+from quell.csvio import write_lines
 from quell.detectors import load_measurement_stream_csv, load_trace_csv
+from quell.hostadapter import FakeHostAdapter
 from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
 from quell.threat import LifecycleState
 
@@ -219,6 +223,58 @@ def test_log_writer_matches_the_csv_module(tmp_path_factory, log):
     path = tmp_path_factory.mktemp("log") / "log.csv"
     log.write_csv(path)
     assert path.read_bytes() == expected
+
+
+class TestWriteLinesStreams:
+    """``write_lines`` writes as it is handed lines and holds none of them."""
+
+    HEADER = ("seq", "name")
+
+    def test_header_goes_out_before_the_first_line_is_asked_for(self):
+        buffer = io.StringIO()
+        seen = []
+
+        def lines():
+            seen.append(buffer.getvalue())
+            yield "0,a\n"
+            seen.append(buffer.getvalue())
+            yield "1,b\n"
+
+        write_lines(buffer, self.HEADER, lines())
+        assert seen == ["seq,name\n", "seq,name\n0,a\n"]
+        assert buffer.getvalue() == "seq,name\n0,a\n1,b\n"
+
+    def test_no_lines_write_only_the_header(self, tmp_path):
+        buffer = io.StringIO()
+        write_lines(buffer, self.HEADER, iter(()))
+        assert buffer.getvalue() == "seq,name\n"
+        write_lines(tmp_path / "empty.csv", self.HEADER, [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"seq,name\n"
+
+    def test_a_stream_destination_is_left_open(self):
+        buffer = io.StringIO()
+        write_lines(buffer, self.HEADER, ["0,a\n"])
+        buffer.write("1,b\n")
+        assert buffer.getvalue() == "seq,name\n0,a\n1,b\n"
+
+    def test_a_long_call_log_is_not_held_whole(self, tmp_path):
+        # Each apply logs a distinct shares cell, so the file (1.46 MB) is
+        # larger than the bound. Streamed, the export peaks near 0.14 MB;
+        # joining the lines into one string peaks near 4.1 MB, and handing
+        # the writer a list of them near 2.8 MB.
+        adapter = FakeHostAdapter()
+        handles = [adapter.spawn(f"p{index}") for index in range(20)]
+        for n in range(20_000):
+            adapter.apply_shares(handles[n % 20], ResourceShares(cpu=(n + 1) / 20_000))
+        path = tmp_path / "calls.csv"
+        tracemalloc.start()
+        try:
+            adapter.export_calls_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_000_000
+        assert peak < 1_000_000
 
 
 class TestScenarioErrorsInLineOrder:

@@ -4,7 +4,8 @@
 ``ResourceShares`` a hand-written ``__eq__``, ``clamp`` returns early for
 a score already in range, the per-epoch functions read enum members
 through module-level aliases, and the fake host keeps a compact call
-log. These tests hold each shortcut to the plain form it replaces.
+log and spells its CSV rows as f-strings. These tests hold each shortcut
+to the plain form it replaces.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from quell import actuation, detectors, simulation, supervisor, threat
 from quell.actuation import RESOURCES, ResourceShares
-from quell.csvio import write_rows
+from quell.csvio import quote_cell, write_rows
 from quell.hostadapter import (
     CALLS_CSV_HEADER,
     Ack,
@@ -346,6 +347,14 @@ def test_compact_log_matches_the_eager_one(unsupported, script):
     for record, shares in zip(calls, eager.requested):
         if shares is not None:
             assert by_value.setdefault(dataclasses.astuple(shares), record.args) is record.args
+
+
+@given(st.builds(ResourceShares, *[share for _ in RESOURCES]))
+@example(ResourceShares(1e-300, 0.5, 1.0, 5e-7))
+def test_shares_cells_need_no_quoting(shares):
+    # ``export_calls_csv`` spells each row as one f-string on this promise.
+    cell = format_shares(shares)
+    assert quote_cell(cell) == cell
 
 
 def test_fake_apply_builds_no_record_and_no_ack():
