@@ -26,15 +26,26 @@ read once, raw, and a value is interpolated only when its key is read
 and it holds a ``%``, so a stray ``%`` in an unread key is harmless and
 a bad one in a read key is a ``ConfigError`` naming section and key.
 A parse error and a byte that is not UTF-8 are reported in line order.
+
+A file that needs none of configparser's features is read by a lean
+line reader (``_lean_sections``) into the same raw sections configparser
+gives. Its subset: blank lines, full-line ``#`` or ``;`` comments,
+``[name]`` headers (no ``[DEFAULT]``, none repeated) and ``key = value``
+lines whose key holds no ``:`` and does not repeat in its section once
+lowercased. No other line starts with whitespace or holds ``#`` or
+``;``, no ``%`` appears anywhere, and every byte is UTF-8. The lean
+reader gives up on any other file, never raising, and configparser
+reads it as before; so the fallback is the only source of parse errors,
+and each keeps its text and its place in line order.
 """
 
 from __future__ import annotations
 
-import configparser
 import io
 import re
 from enum import Enum, EnumMeta
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .actuation import RESOURCES, ActuationMode, ActuatorPolicy
 from .csvio import read_text
@@ -60,6 +71,9 @@ from .simulation import (
     ScenarioError,
 )
 from .threat import AssessmentPolicy, GrowthFamily
+
+if TYPE_CHECKING:
+    import configparser
 
 __all__ = ["ConfigError", "load_scenario", "parse_response_curve"]
 
@@ -175,15 +189,36 @@ _SECTIONS = {
 _NEAR_MISS_CUTOFF = 0.8
 
 
-class _Section:
-    """One section's raw values, read once; ``[DEFAULT]`` keys included."""
+class _Ini:
+    """A scenario file's sections as raw values, and what reading a value needs of its parser.
 
-    __slots__ = ("parser", "name", "raw")
+    ``sections`` maps each section name, in file order, to its keys and
+    raw values in order: what configparser's ``items(name, raw=True)``
+    gives, ``[DEFAULT]`` keys first. ``parser`` is the configparser that
+    read the file, or None when the lean reader did; such a file has no
+    ``[DEFAULT]`` and no ``%``, so it needs no defaults and no
+    interpolation.
+    """
 
-    def __init__(self, parser: configparser.ConfigParser, name: str) -> None:
+    __slots__ = ("sections", "defaults", "parser")
+
+    def __init__(
+        self, sections: dict[str, dict[str, str]], parser: configparser.ConfigParser | None = None
+    ) -> None:
+        self.sections = sections
+        self.defaults = parser.defaults() if parser is not None else {}
         self.parser = parser
+
+
+class _Section:
+    """One section's raw values, ``[DEFAULT]`` keys included, and the file they came from."""
+
+    __slots__ = ("ini", "name", "raw")
+
+    def __init__(self, ini: _Ini, name: str) -> None:
+        self.ini = ini
         self.name = name
-        self.raw = dict(parser.items(name, raw=True))
+        self.raw = ini.sections[name]
 
 
 def _near_miss(word: str, known) -> str | None:
@@ -204,11 +239,10 @@ def _check_keys(section: _Section, kind: str) -> None:
     known = _KNOWN[kind]
     if known.issuperset(section.raw):
         return
-    parser = section.parser
-    exempt = set(parser.defaults())
+    exempt = set(section.ini.defaults)
     for value in section.raw.values():
-        # configparser's own pattern for a %(name)s reference
-        exempt.update(map(parser.optionxform, re.findall(r"%\(([^)]+)\)s", value)))
+        # configparser's own pattern for a %(name)s reference; its optionxform lowercases
+        exempt.update(map(str.lower, re.findall(r"%\(([^)]+)\)s", value)))
     for key in section.raw:
         if key in known or key in exempt:
             continue
@@ -224,9 +258,9 @@ def _check_keys(section: _Section, kind: str) -> None:
             raise ConfigError(f"[{section.name}] unknown key {key!r}; did you mean {match!r}?")
 
 
-def _check_sections(path: Path, parser: configparser.ConfigParser) -> None:
+def _check_sections(path: Path, sections: dict[str, dict[str, str]]) -> None:
     """Reject a section whose kind is a near miss of a known one, or a bare process or detector."""
-    for name in parser.sections():
+    for name in sections:
         if name in ("scenario", "policies", "actuator"):
             continue
         if name.startswith((PROCESS_PREFIX, DETECTOR_PREFIX)):
@@ -242,8 +276,10 @@ def _get(section: _Section, key: str, kind):
     if raw is None:
         raise ConfigError(f"[{section.name}] is missing required key {key!r}")
     if "%" in raw:
+        import configparser  # loaded already: only a file the fallback read holds a %
+
         try:
-            raw = section.parser.get(section.name, key)
+            raw = section.ini.parser.get(section.name, key)
         except configparser.InterpolationError as exc:
             raise ConfigError(f"[{section.name}] {key}: {exc}") from None
     raw = raw.strip()
@@ -313,16 +349,16 @@ class _InputFiles:
 
 
 def _detector_source(
-    parser: configparser.ConfigParser,
+    ini: _Ini,
     detector_name: str,
     process_id: str,
     scenario_seed: int,
     files: _InputFiles,
 ) -> VerdictSource:
     section_name = DETECTOR_PREFIX + detector_name
-    if not parser.has_section(section_name):
+    if section_name not in ini.sections:
         raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
-    section = _Section(parser, section_name)
+    section = _Section(ini, section_name)
     kind = _read(section, _TABLE["detector"])["kind"].value
     _check_keys(section, kind)
     table = _TABLE[kind]
@@ -359,6 +395,69 @@ def _check_coverage(spec: ProcessSpec, epochs: int) -> None:
         )
 
 
+def _lean_sections(text: str) -> dict[str, dict[str, str]] | None:
+    """``text``'s sections as configparser reads them raw, or None if ``text`` is outside the subset.
+
+    The subset is the module docstring's. Lines split as
+    ``io.StringIO(text, newline=None)`` splits them: at LF, CRLF and a
+    lone CR only. Every line that passes is one configparser reads the
+    same way, so a file that passes gives what the fallback would; any
+    other line gives up on the whole file. Never raises.
+    """
+    if "%" in text:
+        return None
+    sections: dict[str, dict[str, str]] = {}
+    section = None
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        first = line[0]
+        if first in "#;":
+            continue
+        if first.isspace() or "#" in stripped or ";" in stripped:
+            return None  # a continuation line or an inline comment
+        if first == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name or name == "DEFAULT" or name in sections:
+                return None
+            section = sections[name] = {}
+            continue
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip()
+        if not equals or not key or ":" in key or section is None:
+            return None
+        key = key.lower()
+        if key in section:
+            return None
+        section[key] = value.lstrip()
+    return sections
+
+
+def _read_ini(path: Path, text: str, bad_line: int, bad_byte: str) -> _Ini:
+    """The scenario file's sections: from the lean reader if it can, else from configparser.
+
+    Only the fallback raises: the parse error, or the bad byte, that
+    comes first in line order.
+    """
+    if not bad_line:
+        sections = _lean_sections(text)
+        if sections is not None:
+            return _Ini(sections)
+    import configparser  # here, not at the top: a file inside the lean subset never needs it
+
+    lines = io.StringIO(text, newline=None).readlines()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        # Only the lines before a bad byte, so that an error on one of them is reported first.
+        parser.read_file(lines[: bad_line - 1] if bad_line else lines, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if bad_line:
+        raise ConfigError(bad_byte)
+    return _Ini({name: dict(parser.items(name, raw=True)) for name in parser.sections()}, parser)
+
+
 def load_scenario(
     path: str | Path,
     *,
@@ -378,20 +477,13 @@ def load_scenario(
         text, bad_line, bad_byte = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    lines = io.StringIO(text, newline=None).readlines()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        # Only the lines before a bad byte, so that an error on one of them is reported first.
-        parser.read_file(lines[: bad_line - 1] if bad_line else lines, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if bad_line:
-        raise ConfigError(bad_byte)
+    ini = _read_ini(path, text, bad_line, bad_byte)
 
-    _check_sections(path, parser)
-    if not parser.has_section("scenario"):
+    sections = ini.sections
+    _check_sections(path, sections)
+    if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
-    scenario_section = _Section(parser, "scenario")
+    scenario_section = _Section(ini, "scenario")
     _check_keys(scenario_section, "scenario")
     scenario_args = _read(scenario_section, _TABLE["scenario"])
     if seed_override is not None:
@@ -400,13 +492,12 @@ def load_scenario(
     seed = scenario_args.setdefault("seed", Scenario.seed)
 
     policies_section = scenario_section
-    if parser.has_section("policies"):
-        policies_section = _Section(parser, "policies")
+    if "policies" in sections:
+        policies_section = _Section(ini, "policies")
         _check_keys(policies_section, "policies")
-        defaults = parser.defaults()
         for key in _TABLE["policies"]:
             # A [DEFAULT] key shows in every section; only a value [scenario] sets itself is stray.
-            if key in scenario_section.raw and scenario_section.raw[key] != defaults.get(key):
+            if key in scenario_section.raw and scenario_section.raw[key] != ini.defaults.get(key):
                 raise ConfigError(
                     f"[scenario] policy key {key!r} is ignored when [policies] exists; "
                     "move it to [policies]"
@@ -414,8 +505,8 @@ def load_scenario(
     penalty_policy = _policy(policies_section, "penalty")
     compensation_policy = _policy(policies_section, "compensation")
     actuator_args = {}
-    if parser.has_section("actuator"):
-        actuator_section = _Section(parser, "actuator")
+    if "actuator" in sections:
+        actuator_section = _Section(ini, "actuator")
         _check_keys(actuator_section, "actuator")
         actuator_args = _read(actuator_section, _TABLE["actuator"])
     actuator = _build("[actuator]", ActuatorPolicy, **actuator_args)
@@ -432,13 +523,13 @@ def load_scenario(
     files = _InputFiles(path.parent)
     process_table = _TABLE["process"]
     specs: list[ProcessSpec] = []
-    for section_name in parser.sections():
+    for section_name in sections:
         if not section_name.startswith(PROCESS_PREFIX):
             continue
         process_id = section_name[len(PROCESS_PREFIX):].strip()
         if not process_id:
             raise ConfigError(f"{path}: empty process id in [{section_name}]")
-        section = _Section(parser, section_name)
+        section = _Section(ini, section_name)
         _check_keys(section, "process")
         args = _read(section, process_table, _MODEL_KEYS)
         response = {name: args.pop(name) for name in RESOURCES if name in args}
@@ -451,7 +542,7 @@ def load_scenario(
             source: VerdictSource = override_traces[process_id]
         else:
             detector_name = _read(section, process_table, ("detector",))["detector"]
-            source = _detector_source(parser, detector_name, process_id, seed, files)
+            source = _detector_source(ini, detector_name, process_id, seed, files)
         specs.append(ProcessSpec(process_id=process_id, model=model, source=source))
 
     if not specs:

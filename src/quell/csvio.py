@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -40,21 +41,26 @@ def read_rows(
     reader = csv.reader(io.StringIO(text, newline=""))
     width = len(header)
     end = 0
-    for row in reader:
-        line, end = end + 1, reader.line_num
-        if bad_line and end >= bad_line:
-            raise ValueError(bad_message)
-        if line == 1:
-            if tuple(cell.strip() for cell in row) != header:
-                raise ValueError(
-                    f"{path}: expected header {','.join(header)!r}, got {','.join(row)!r}"
-                )
-            continue
-        if not "".join(row).strip():
-            continue
-        if len(row) != width:
-            raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-        yield line, row
+    try:
+        for row in reader:
+            line, end = end + 1, reader.line_num
+            if bad_line and end >= bad_line:
+                raise ValueError(bad_message)
+            if line == 1:
+                if tuple(cell.strip() for cell in row) != header:
+                    raise ValueError(
+                        f"{path}: expected header {','.join(header)!r}, got {','.join(row)!r}"
+                    )
+                continue
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            yield line, row
+    except csv.Error as exc:
+        if bad_line and reader.line_num >= bad_line:
+            raise ValueError(bad_message) from None
+        raise ValueError(f"{path}:{end + 1}: {exc}") from None
     if not end:
         raise ValueError(f"{path}: empty {kind} file")
 
@@ -113,6 +119,11 @@ def write_rows(
         writer.writerows(rows)
 
 
+# Lines per write call in ``write_lines``: few enough calls that their
+# cost vanishes, and one chunk of a long log is still well under 1 MB.
+_CHUNK_LINES = 1024
+
+
 def write_lines(
     destination: str | Path | io.TextIOBase, header: Sequence[str], lines: Iterable[str]
 ) -> None:
@@ -120,10 +131,12 @@ def write_lines(
 
     The caller owns the quoting of every cell in ``lines`` (``quote_cell``
     does it for free text); each line ends in LF. The header is written
-    before the first line is asked for, and the lines then stream through
-    ``writelines``, so ``lines`` may be a one-shot generator and the file
-    is never held whole in memory.
+    before the first line is asked for. The lines then go out joined in
+    chunks of ``_CHUNK_LINES``, one write call per chunk, so ``lines`` may
+    be a one-shot generator and the file is never held whole in memory.
     """
+    lines = iter(lines)
     with _text_sink(destination) as handle:
         handle.write(_format_row(header))
-        handle.writelines(lines)
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            handle.write("".join(chunk))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quell.actuation import ResourceShares
 from quell.config import ConfigError, load_scenario
+from quell.cli import EXIT_CONFIG, main
 from quell.csvio import write_lines
 from quell.detectors import load_measurement_stream_csv, load_trace_csv
 from quell.hostadapter import FakeHostAdapter
@@ -157,6 +158,55 @@ class TestErrorsInLineOrder:
         assert message == f"{path}:2402: expected 2 fields, got 3"
 
 
+class TestCsvModuleErrors:
+    """A row the ``csv`` module rejects is a ``ValueError`` naming ``path:line``, not a crash."""
+
+    LIMIT = csv.field_size_limit()
+
+    def huge_cell(self, tmp_path, header: str, row: str) -> Path:
+        return write(tmp_path, f"{header}\n{row}\n" + "x" * (self.LIMIT + 8_928) + "\n")
+
+    def test_trace_cell_over_the_field_limit(self, tmp_path):
+        path = self.huge_cell(tmp_path, "epoch,process,verdict", "0,p,benign")
+        assert error(load_trace_csv, path) == (
+            f"{path}:3: field larger than field limit ({self.LIMIT})"
+        )
+
+    def test_stream_cell_over_the_field_limit(self, tmp_path):
+        path = self.huge_cell(tmp_path, "epoch,value", "0,1.0")
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:3: field larger than field limit ({self.LIMIT})"
+        )
+
+    def test_the_row_is_named_by_the_line_it_starts_on(self, tmp_path):
+        path = write(tmp_path, 'epoch,value\n0,1.0\n1,"\n' + "x" * (self.LIMIT + 1) + '"\n')
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:3: field larger than field limit ({self.LIMIT})"
+        )
+
+    def test_a_bad_byte_in_the_rejected_row_wins(self, tmp_path):
+        # The row reaches the bad byte, so that is its error, as for any other row.
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"epoch,value\n0,1.0\n1," + b"x" * (self.LIMIT + 1) + b"\xff\n")
+        assert error(load_measurement_stream_csv, path) == (
+            f"{path}:3: not UTF-8: byte 0xff (invalid start byte)"
+        )
+
+    def test_simulate_reports_it_as_a_config_error(self, tmp_path, capsys):
+        trace = self.huge_cell(tmp_path, "epoch,process,verdict", "0,p,benign")
+        ini = tmp_path / "scenario.ini"
+        ini.write_text(
+            "[scenario]\nepochs = 2\nmeasurement_budget = 5\n\n"
+            "[process.p]\nbase_rate = 1.0\ndetector = d\n\n"
+            f"[detector.d]\nkind = trace\nfile = {trace.name}\n"
+        )
+        code = main(["simulate", "--scenario", str(ini), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: [detector.d] {trace}:3: field larger than field limit ({self.LIMIT})\n"
+        )
+
+
 # -- log.csv writer ----------------------------------------------------------
 
 ROUNDING_EDGES = [5e-7, 0.0000005, 4.999999e-7, 1.5e-6, 0.9999995, 100.0, 1.0, 0.0, -0.0]
@@ -241,8 +291,34 @@ class TestWriteLinesStreams:
             yield "1,b\n"
 
         write_lines(buffer, self.HEADER, lines())
-        assert seen == ["seq,name\n", "seq,name\n0,a\n"]
+        # Both lines fall in the first chunk, so neither is written before the other is asked for.
+        assert seen == ["seq,name\n", "seq,name\n"]
         assert buffer.getvalue() == "seq,name\n0,a\n1,b\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025])
+    def test_lines_go_out_in_chunks_of_1024(self, count):
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        lines = [f"{n},x\n" for n in range(count)]
+        sink = Sink()
+        write_lines(sink, self.HEADER, lines)
+        assert sink.getvalue() == "seq,name\n" + "".join(lines)
+        assert writes == ["seq,name\n"] + [
+            "".join(lines[start : start + 1024]) for start in range(0, count, 1024)
+        ]
+
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025])
+    def test_a_one_shot_generator_is_written_whole(self, tmp_path, count):
+        path = tmp_path / "lines.csv"
+        write_lines(path, self.HEADER, (f"{n},x\n" for n in range(count)))
+        assert path.read_bytes() == b"seq,name\n" + "".join(
+            f"{n},x\n" for n in range(count)
+        ).encode()
 
     def test_no_lines_write_only_the_header(self, tmp_path):
         buffer = io.StringIO()

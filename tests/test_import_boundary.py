@@ -1,11 +1,15 @@
 """Module boundaries inside the package, checked from the source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quell
 
 PACKAGE = Path(quell.__file__).parent
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -51,3 +55,28 @@ def test_no_module_imports_difflib_at_module_level():
         path.name for path in PACKAGE.glob("*.py") if "difflib" in top_level_imports(path)
     )
     assert importers == []
+
+
+def test_the_fleets_load_without_configparser(tmp_path, monkeypatch):
+    # Both benchmark fleets are inside the lean INI reader's subset; if either
+    # fell back to configparser, their scenario load would pay its parse again.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import fleet
+
+    inis = [
+        fleet.write_sim_fleet(tmp_path / "sim", 1),
+        fleet.write_supervise_fleet(tmp_path / "supervise", 1),
+    ]
+    script = (
+        "import sys\n"
+        "from quell.config import load_scenario\n"
+        "for ini in sys.argv[1:]:\n"
+        "    load_scenario(ini)\n"
+        "print('configparser' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, inis)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout == "False\n"
