@@ -33,9 +33,13 @@ existing dict rather than assigning a new one keeps the instances'
 shared-key dicts. ``__eq__`` is written by hand too: it compares the
 four floats in field order and stops at the first difference, where the
 generated one builds two tuples first; ``dataclass`` still generates the
-field-tuple ``__hash__``, so equal shares hash alike. ``_move`` reads
-the actuation mode's member through a module-level alias, because a
-read through an ``Enum`` class takes its metaclass's slow
+field-tuple ``__hash__``, so equal shares hash alike.
+
+``actuate`` tests for a zero delta first: about half of all steps
+leave the threat index as it was. It computes the move once per call,
+one ``**`` or one product, for every target, which is what each target
+got before. It reads the actuation mode through a module-level alias,
+because a read through an ``Enum`` class takes its metaclass's slow
 ``__getattr__`` path.
 """
 
@@ -166,21 +170,6 @@ class ActuatorPolicy:
         return getattr(self, f"floor_{resource}")
 
 
-def _move(share: float, delta: float, policy: ActuatorPolicy, floor: float) -> float:
-    if delta > 0.0:
-        if policy.mode is _ADDITIVE:
-            moved = share - policy.throttle_step * delta
-        else:
-            moved = share * (1.0 - policy.throttle_step) ** delta
-        return max(floor, moved)
-    rise = -delta
-    if policy.mode is _ADDITIVE:
-        moved = share + policy.throttle_step * rise
-    else:
-        moved = share * (1.0 + policy.throttle_step) ** rise
-    return min(1.0, moved)
-
-
 def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy) -> ResourceShares:
     """Move every targeted share by one threat-index delta.
 
@@ -188,10 +177,20 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
     resources are never touched. Targeted shares must already sit at or
     above their policy floor; results stay within [floor, 1.0].
     """
-    if not math.isfinite(threat_delta):
-        raise ValueError(f"threat delta must be finite, got {threat_delta!r}")
     if threat_delta == 0.0:
         return shares
+    if not math.isfinite(threat_delta):
+        raise ValueError(f"threat delta must be finite, got {threat_delta!r}")
+    # One move for every target, ``share * factor + shift``, exact where a
+    # term is 1.0 or 0.0: additive mode shifts by ``-(step * delta)``, the
+    # same sum as ``share - step * delta`` and ``share + step * -delta``.
+    step = policy.throttle_step
+    if policy.mode is _ADDITIVE:
+        factor, shift = 1.0, -(step * threat_delta)
+    elif threat_delta > 0.0:
+        factor, shift = (1.0 - step) ** threat_delta, 0.0
+    else:
+        factor, shift = (1.0 + step) ** -threat_delta, 0.0
     values = [shares.cpu, shares.memory, shares.network, shares.filesystem]
     moved = False
     for index, floor in policy._target_floors:
@@ -200,8 +199,15 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
             raise ValueError(
                 f"{RESOURCES[index]} share {current!r} is below the policy floor {floor!r}"
             )
-        values[index] = _move(current, threat_delta, policy, floor)
-        moved = moved or values[index] != current
+        # A throttle never raises a share nor a restore lowers one, so
+        # each meets only its own bound.
+        share = current * factor + shift
+        if share < floor:
+            share = floor
+        elif share > 1.0:
+            share = 1.0
+        values[index] = share
+        moved = moved or share != current
     return ResourceShares(*values) if moved else shares
 
 

@@ -152,27 +152,34 @@ def cmd_supervise(args: argparse.Namespace) -> int:
             pass
     returned = False
     try:
-        reports = supervise(
-            scenario, adapter, handles=handles, pace_seconds=pace_seconds, stop=stop
-        )
+        reports = supervise(scenario, adapter, handles=handles, pace_seconds=pace_seconds, stop=stop)
         returned = True
+    except BaseException as exc:
+        reports = getattr(exc, "reports", ())
+        raise
     finally:
         for signo, handler in previous_handlers.items():
             signal.signal(signo, handler)
         if isinstance(adapter, LinuxSignalAdapter):
             adapter.close()
+            writes = []
         else:
-            # Also after a failure: the calls made so far record what the run did.
+            writes = [(out_dir / "calls.csv", adapter.export_calls_csv)]
+        # Also after a failure: the calls made and the states reached so far
+        # record what the run did.
+        rows = [report.csv_row() for report in reports]
+        writes.append(
+            (out_dir / "supervision.csv", lambda path: write_rows(path, SUPERVISION_CSV_HEADER, rows))
+        )
+        for path, write in writes:
             try:
-                adapter.export_calls_csv(out_dir / "calls.csv")
+                write(path)
             except OSError as exc:
                 if returned:
                     raise
                 # Leave the error that stopped the run as the one reported.
-                logger.warning("could not write %s: %s", out_dir / "calls.csv", exc)
+                logger.warning("could not write %s: %s", path, exc)
 
-    rows = (report.csv_row() for report in reports)
-    write_rows(out_dir / "supervision.csv", SUPERVISION_CSV_HEADER, rows)
     for report in reports:
         print(
             f"{report.process_id}: {report.final_state} after epoch {report.epochs_run}"

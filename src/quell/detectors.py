@@ -12,8 +12,11 @@ replayed or evaluated out of order:
 
 Randomness comes from SplitMix64, keyed by (seed, epoch): the verdict at
 epoch ``e`` is a pure function of the seed and ``e``, reproducible
-across platforms and languages. Uniform doubles take the top 53 bits of
-the 64-bit output.
+across platforms and languages. A draw is malicious when its top 53
+bits ``k``, read as ``k * 2**-53`` in [0, 1), fall below the probability
+``p``; ``StochasticSource`` tests ``k < p * 2**53`` instead, the same
+test scaled by a power of two, and Python compares an int with a float
+exactly.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ class GroundTruth(Enum):
 
 
 # Module-level aliases read faster than members through an Enum class.
-_ATTACK = GroundTruth.ATTACK
 _MALICIOUS = Verdict.MALICIOUS
 _BENIGN = Verdict.BENIGN
 
@@ -74,11 +76,6 @@ def _splitmix64(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _unit_interval(word: int) -> float:
-    """Map a 64-bit word onto [0, 1) using its top 53 bits."""
-    return (word >> 11) * 2.0**-53
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -147,16 +144,21 @@ class StochasticSource:
         _check_probability(self.true_positive_rate, "true_positive_rate")
         _check_probability(self.false_positive_rate, "false_positive_rate")
         _check_seed(self.seed)
+        if self.ground_truth is GroundTruth.ATTACK:
+            probability = self.true_positive_rate
+        else:
+            probability = self.false_positive_rate
+        # Not a field, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_cutoff", probability * 2.0**53)
 
     def verdict_at(self, epoch: int) -> Verdict:
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
-        if self.ground_truth is _ATTACK:
-            probability = self.true_positive_rate
-        else:
-            probability = self.false_positive_rate
-        draw = _unit_interval(_splitmix64(self.seed, epoch))
-        return _MALICIOUS if draw < probability else _BENIGN
+        # ``_splitmix64(self.seed, epoch)``, inlined.
+        z = (self.seed + (epoch + 1) * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return _MALICIOUS if (z ^ (z >> 31)) >> 11 < self._cutoff else _BENIGN
 
 
 @dataclass(frozen=True)

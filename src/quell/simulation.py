@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .actuation import (
     DEFAULT_SHARES,
@@ -94,20 +94,11 @@ __all__ = [
 ]
 
 LOG_CSV_HEADER = (
-    "epoch",
-    "process",
-    "verdict",
-    "penalty",
-    "compensation",
-    "threat",
-    "state",
-    "cpu",
-    "mem",
-    "net",
-    "fs",
-    "progress",
-    "cumulative",
+    "epoch", "process", "verdict", "penalty", "compensation", "threat", "state",
+    "cpu", "mem", "net", "fs", "progress", "cumulative",
 )
+# One ``log.csv`` line, spelled from an ``EpochRecord`` whose id needs no quoting.
+_LOG_LINE = "%d,%s,%s,%.6f,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
 SLOWDOWN_CSV_HEADER = ("process", "progress_with", "progress_without", "slowdown_pct")
 
 # Verdict column value for epochs that consume no verdict.
@@ -345,32 +336,18 @@ class ScenarioLog:
 
         Every cell but the process id is an int, a fixed-point float or
         an enum value, none of which the writer would quote, so each row
-        is one f-string. Ids are quoted once each, and the four share
-        cells are formatted once per distinct shares. The rows stream out
-        as they are spelled.
+        is one ``%`` format of the record. An id that needs quoting is
+        swapped for its ``quote_cell`` spelling first. The rows stream
+        out as they are spelled.
         """
-        write_lines(destination, LOG_CSV_HEADER, self._csv_lines())
-
-    def _csv_lines(self) -> Iterator[str]:
-        ids: dict[str, str] = {}
-        shares: dict[tuple[float, float, float, float], str] = {}
-        for (
-            epoch, process_id, verdict, penalty, compensation, threat_index, state,
-            cpu, memory, network, filesystem, progress, cumulative,
-        ) in self.records:
-            id_cell = ids.get(process_id)
-            if id_cell is None:
-                id_cell = ids[process_id] = quote_cell(process_id)
-            key = (cpu, memory, network, filesystem)
-            share_cells = shares.get(key)
-            if share_cells is None:
-                share_cells = f"{cpu:.6f},{memory:.6f},{network:.6f},{filesystem:.6f}"
-                if 0.0 not in key:  # 0.0 and -0.0 are one key but print apart
-                    shares[key] = share_cells
-            yield (
-                f"{epoch},{id_cell},{verdict},{penalty:.6f},{compensation:.6f},"
-                f"{threat_index:.6f},{state},{share_cells},{progress:.6f},{cumulative:.6f}\n"
+        quoted = {pid: cell for pid in self._by_process if (cell := quote_cell(pid)) != pid}
+        records: Iterable[EpochRecord] = self.records
+        if quoted:
+            records = (
+                r._replace(process_id=quoted[r.process_id]) if r.process_id in quoted else r
+                for r in records
             )
+        write_lines(destination, LOG_CSV_HEADER, map(_LOG_LINE.__mod__, records))
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()

@@ -10,7 +10,7 @@ between the poll and the apply, is recorded as completed and left
 alone. A verdict source that runs dry raises the simulator's
 ``ScenarioError``, naming the process. A process is finished exactly
 when its ledger is terminated, and the loop ends once every process is
-finished.
+finished. An error that stops the run carries the report so far.
 
 Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
@@ -89,70 +89,77 @@ def supervise(
     ``handles`` maps process ids to pre-attached handles; without it the
     adapter must offer ``spawn`` (the fake adapter does). ``pace_seconds``
     spaces epoch starts for real processes; leave it at 0.0 for fakes.
-    ``stop`` allows a signal handler to end the loop cleanly.
+    ``stop`` allows a signal handler to end the loop cleanly. An error
+    raised on the way carries the states of the processes attached by
+    then on its ``reports`` attribute, as the tuple this would return.
     """
     supervised = []
-    for spec in scenario.processes:
-        if handles is not None and spec.process_id in handles:
-            handle = handles[spec.process_id]
-        else:
-            handle = adapter.spawn(spec.process_id)  # type: ignore[attr-defined]
-        supervised.append(
-            _Supervised(spec.process_id, spec.source, handle, ThreatLedger(), DEFAULT_SHARES)
-        )
+    try:
+        for spec in scenario.processes:
+            if handles is not None and spec.process_id in handles:
+                handle = handles[spec.process_id]
+            else:
+                handle = adapter.spawn(spec.process_id)  # type: ignore[attr-defined]
+            supervised.append(
+                _Supervised(spec.process_id, spec.source, handle, ThreatLedger(), DEFAULT_SHARES)
+            )
 
-    live = supervised
-    warned = False
-    start = time.monotonic()
-    for epoch in range(1, scenario.epochs):
-        if pace_seconds > 0:
-            delay = start + (epoch - 1) * pace_seconds - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        if stop is not None and stop.is_set():
-            logger.info("stop requested at epoch %d", epoch)
-            break
-        for state in live:
-            state.epochs_run = epoch
-            if not adapter.poll(state.handle):
-                state.ledger = mark_completed(state.ledger)
-                logger.info("%s exited on its own at epoch %d", state.process_id, epoch)
-                continue
-            try:
-                verdict = next_verdict(state.source, epoch)
-            except SourceExhausted as exc:
-                raise ScenarioError(f"process {state.process_id!r}: {exc}") from exc
-            state.ledger, shares = respond(state.ledger, state.shares, verdict, scenario)
-            if state.ledger.state is _TERMINATED:
-                adapter.terminate(state.handle)
-            elif shares is not state.shares:
-                try:
-                    ack = adapter.apply_shares(state.handle, shares)
-                except StaleHandleError:
+        live = supervised
+        warned = False
+        start = time.monotonic()
+        for epoch in range(1, scenario.epochs):
+            if pace_seconds > 0:
+                delay = start + (epoch - 1) * pace_seconds - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+            if stop is not None and stop.is_set():
+                logger.info("stop requested at epoch %d", epoch)
+                break
+            for state in live:
+                state.epochs_run = epoch
+                if not adapter.poll(state.handle):
                     state.ledger = mark_completed(state.ledger)
-                    logger.info(
-                        "%s exited before its shares applied at epoch %d", state.process_id, epoch
-                    )
+                    logger.info("%s exited on its own at epoch %d", state.process_id, epoch)
                     continue
-                if ack.unsupported and not warned:
-                    warned = True
-                    logger.warning(
-                        "%s: resources not limitable on this host: %s",
-                        state.handle.ident,
-                        ", ".join(ack.unsupported),
-                    )
-                state.shares = shares
-        live = [state for state in live if state.ledger.state is not _TERMINATED]
-        if not live:
-            break
+                try:
+                    verdict = next_verdict(state.source, epoch)
+                except SourceExhausted as exc:
+                    raise ScenarioError(f"process {state.process_id!r}: {exc}") from exc
+                ledger, shares = respond(state.ledger, state.shares, verdict, scenario)
+                state.ledger = ledger
+                if ledger.state is _TERMINATED:
+                    adapter.terminate(state.handle)
+                elif shares is not state.shares:
+                    try:
+                        ack = adapter.apply_shares(state.handle, shares)
+                    except StaleHandleError:
+                        state.ledger = mark_completed(state.ledger)
+                        logger.info(
+                            "%s exited before its shares applied at epoch %d", state.process_id, epoch
+                        )
+                        continue
+                    if ack.unsupported and not warned:
+                        warned = True
+                        logger.warning(
+                            "%s: resources not limitable on this host: %s",
+                            state.handle.ident,
+                            ", ".join(ack.unsupported),
+                        )
+                    state.shares = shares
+            live = [state for state in live if state.ledger.state is not _TERMINATED]
+            if not live:
+                break
+    except BaseException as exc:
+        exc.reports = _reports(supervised)  # type: ignore[attr-defined]
+        raise
+    return _reports(supervised)
 
+
+def _reports(supervised: list[_Supervised]) -> tuple[SupervisionReport, ...]:
     return tuple(
         SupervisionReport(
-            process_id=state.process_id,
-            final_state=state.ledger.state.value,
-            epochs_run=state.epochs_run,
-            exit_reason=state.ledger.exit_reason,
-            shares=state.shares,
+            state.process_id, state.ledger.state.value, state.epochs_run,
+            state.ledger.exit_reason, state.shares,
         )
         for state in sorted(supervised, key=lambda state: state.process_id)
     )

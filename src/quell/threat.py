@@ -45,6 +45,10 @@ existing dict rather than assigning a new one keeps the instances'
 shared-key dicts. The per-epoch functions read enum members through
 module-level aliases, because a read through an ``Enum`` class takes
 its metaclass's slow ``__getattr__`` path.
+
+``step_epoch`` calls ``clamp`` only for a score that is not a float in
+(0, 100], and ``clamp`` tests for a zero first: about half of all steps
+are benign verdicts on a normal ledger, whose threat index stays 0.0.
 """
 
 from __future__ import annotations
@@ -112,8 +116,11 @@ def clamp(value: float) -> float:
     every producer of scores in this module is bounded, so NaN or
     infinity means the caller fed garbage in.
     """
-    # In range already: the comparison is false for NaN, both
-    # infinities, zero and -0.0, which the checked path handles.
+    # Zero first, -0.0 included: the score ``step_epoch`` clamps most often.
+    if value == 0.0:
+        return 0.0
+    # In range already: the comparison is false for NaN and both
+    # infinities, which the checked path handles.
     if 0.0 < value <= SCORE_CEILING:
         return float(value)
     if not math.isfinite(value):
@@ -190,9 +197,8 @@ def assess(policy: AssessmentPolicy, previous: float, epoch: int) -> float:
 
     The result never falls below ``previous``: all growth families are
     non-decreasing and the previous value was already within bounds.
-    ``step_epoch`` grows ledger scores with the same
-    ``clamp(policy.grow(previous, epoch))`` but skips these checks,
-    which a valid ledger already guarantees.
+    ``step_epoch`` grows ledger scores to the same value but skips these
+    checks, which a valid ledger already guarantees.
     """
     _check_score(previous, "previous")
     _check_epoch(epoch)
@@ -276,9 +282,9 @@ def step_epoch(
       terminable state regardless of the verdict.
 
     Penalty and compensation are never reset by recovery; only clamping
-    bounds them. Scores grow through ``clamp`` rather than ``assess``:
-    they come from a valid ledger, so ``assess``'s checks would repeat
-    the ledger's own.
+    bounds them. Scores grow as ``assess`` grows them but skip its
+    checks, which a valid ledger already guarantees, and each calls
+    ``clamp`` only once it has left (0, 100] or is not a float.
     """
     state = ledger.state
     if state is not _NORMAL and state is not _SUSPICIOUS:
@@ -299,17 +305,22 @@ def step_epoch(
 
     if verdict is _MALICIOUS:
         state = _SUSPICIOUS
-        penalty = clamp(penalty_policy.grow(penalty, epoch))
-        raw_threat = previous_threat + penalty
+        penalty = penalty_policy.grow(penalty, epoch)
+        if not 0.0 < penalty <= SCORE_CEILING or penalty.__class__ is not float:
+            penalty = clamp(penalty)
+        threat_index = previous_threat + penalty
     elif state is _SUSPICIOUS:
-        compensation = clamp(compensation_policy.grow(compensation, epoch))
-        raw_threat = previous_threat - compensation
+        compensation = compensation_policy.grow(compensation, epoch)
+        if not 0.0 < compensation <= SCORE_CEILING or compensation.__class__ is not float:
+            compensation = clamp(compensation)
+        threat_index = previous_threat - compensation
     else:
-        raw_threat = previous_threat
+        threat_index = previous_threat
 
-    threat_index = clamp(raw_threat)
-    if threat_index == 0.0:
-        state = _NORMAL
+    if not 0.0 < threat_index <= SCORE_CEILING or threat_index.__class__ is not float:
+        threat_index = clamp(threat_index)
+        if threat_index == 0.0:
+            state = _NORMAL
     if measurements >= measurement_budget:
         state = _TERMINABLE
 
@@ -332,13 +343,8 @@ def resolve_terminable(ledger: ThreatLedger, verdict: Verdict) -> ThreatLedger:
     else:
         exit_reason = ledger.exit_reason
     return ThreatLedger(
-        ledger.penalty,
-        ledger.compensation,
-        ledger.threat_index,
-        state,
-        ledger.epoch + 1,
-        ledger.measurements,
-        exit_reason,
+        ledger.penalty, ledger.compensation, ledger.threat_index,
+        state, ledger.epoch + 1, ledger.measurements, exit_reason,
     )
 
 
@@ -350,11 +356,6 @@ def mark_completed(ledger: ThreatLedger) -> ThreatLedger:
     if ledger.state is _TERMINATED:
         raise ValueError("terminated is absorbing")
     return ThreatLedger(
-        ledger.penalty,
-        ledger.compensation,
-        ledger.threat_index,
-        _TERMINATED,
-        ledger.epoch,
-        ledger.measurements,
-        EXIT_COMPLETED,
+        ledger.penalty, ledger.compensation, ledger.threat_index,
+        _TERMINATED, ledger.epoch, ledger.measurements, EXIT_COMPLETED,
     )

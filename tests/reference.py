@@ -145,3 +145,52 @@ def fold_sum(values: list[float]) -> float:
 
 def reference_slowdown(progress_with: float, progress_without: float) -> float:
     return (1.0 - progress_with / progress_without) * 100.0
+
+
+def uniform_draw(seed: int, epoch: int) -> float:
+    """The stochastic detector's draw: SplitMix64 keyed by (seed, epoch),
+    its top 53 bits times 2**-53."""
+    mask = (1 << 64) - 1
+    z = (seed + (epoch + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def float_draw_verdict(seed: int, epoch: int, probability: float) -> str:
+    """Malicious when the uniform draw falls below ``probability``."""
+    return MALICIOUS if uniform_draw(seed, epoch) < probability else BENIGN
+
+
+def share_walk(
+    shares: dict[str, float],
+    deltas: list[float],
+    step: float,
+    multiplicative: bool,
+    floors: dict[str, float],
+) -> list[dict[str, float]]:
+    """Every share after each delta, each target in ``floors`` moved on its own.
+
+    A positive delta lowers a target by ``step * delta`` (additive) or
+    scales it by ``(1 - step) ** delta`` (multiplicative), stopping at its
+    floor; a negative one raises it by ``step * -delta`` or scales it by
+    ``(1 + step) ** -delta``, stopping at 1.0. Other shares stay as they are.
+    """
+    shares = dict(shares)
+    path = []
+    for delta in deltas:
+        for resource, floor in floors.items():
+            share = shares[resource]
+            if delta > 0.0:
+                if multiplicative:
+                    share = max(floor, share * (1.0 - step) ** delta)
+                else:
+                    share = max(floor, share - step * delta)
+            elif delta < 0.0:
+                if multiplicative:
+                    share = min(1.0, share * (1.0 + step) ** (-delta))
+                else:
+                    share = min(1.0, share + step * (-delta))
+            shares[resource] = share
+        path.append(dict(shares))
+    return path

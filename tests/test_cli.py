@@ -253,6 +253,32 @@ class TestSuperviseFake:
         write_rows(expected, CALLS_CSV_HEADER, [call.csv_row() for call in refused])
         assert (tmp_path / "calls.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
+    def test_failed_run_keeps_the_states_reached_before_it_failed(
+        self, tmp_path, configs_dir, capsys, refused
+    ):
+        assert self.run_attack(tmp_path, configs_dir) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: host refused the limit\n")
+        # Epoch 3's step went through; its shares were refused, so the
+        # report holds the ledger's state and the last shares the host took.
+        assert (tmp_path / "supervision.csv").read_text().splitlines() == [
+            "process,final_state,epochs_run,exit_reason,cpu,mem,net,fs",
+            "attack,suspicious,3,,0.700000,1.000000,1.000000,1.000000",
+        ]
+
+    def test_failed_report_write_leaves_the_error_that_stopped_the_run(
+        self, tmp_path, configs_dir, capsys, caplog, refused, monkeypatch
+    ):
+        def no_space(destination, header, rows):
+            raise OSError("no space left for supervision.csv")
+
+        monkeypatch.setattr(cli, "write_rows", no_space)
+        assert self.run_attack(tmp_path, configs_dir) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1] == "error: host refused the limit"
+        assert "could not write" in caplog.text
+        assert "no space left for supervision.csv" in caplog.text
+        assert (tmp_path / "calls.csv").exists()
+
     def test_failed_export_leaves_the_error_that_stopped_the_run(
         self, tmp_path, configs_dir, capsys, caplog, refused, monkeypatch
     ):

@@ -2,10 +2,14 @@
 
 ``ThreatLedger`` and ``ResourceShares`` have hand-written constructors,
 ``ResourceShares`` a hand-written ``__eq__``, ``clamp`` returns early for
-a score already in range, the per-epoch functions read enum members
-through module-level aliases, and the fake host keeps a compact call
-log and spells its CSV rows as f-strings. These tests hold each shortcut
-to the plain form it replaces.
+a zero and for a score already in range, ``step_epoch`` calls ``clamp``
+only for a score that is not a float in (0, 100], ``actuate`` computes
+one move per call for all its targets, ``StochasticSource`` compares the
+draw's top 53 bits with a cutoff computed once, the per-epoch functions
+read enum members through module-level aliases, the fake host keeps a
+compact call log and spells its CSV rows as f-strings, and ``log.csv``
+spells each row as one ``%`` format. These tests hold each shortcut to
+the plain form it replaces.
 """
 
 import dataclasses
@@ -20,8 +24,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quell import actuation, detectors, simulation, supervisor, threat
-from quell.actuation import RESOURCES, ResourceShares
+from quell.actuation import RESOURCES, ActuationMode, ActuatorPolicy, ResourceShares
 from quell.csvio import quote_cell, write_rows
+from quell.detectors import GroundTruth, StochasticSource
 from quell.hostadapter import (
     CALLS_CSV_HEADER,
     Ack,
@@ -31,7 +36,9 @@ from quell.hostadapter import (
     StaleHandleError,
     format_shares,
 )
-from quell.threat import LifecycleState, ThreatLedger, clamp
+from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
+from quell.threat import AssessmentPolicy, LifecycleState, ThreatLedger, Verdict, clamp, step_epoch
+from reference import float_draw_verdict, share_walk, uniform_draw
 
 # -- hand-written constructors -------------------------------------------------
 
@@ -178,6 +185,191 @@ def test_clamp_still_rejects_non_finite(bad):
         clamp(bad)
 
 
+# -- step_epoch calls clamp only outside (0, 100] -------------------------------
+
+# Scores a ledger accepts: ints, both zeros, the ends of the range, and
+# values between; grown, some leave the range and some stay ints.
+scores = (
+    st.sampled_from([0, -0.0, 0.0, 1, 7, 99, 100, 100.0, 0.5, SUBNORMAL])
+    | st.integers(0, 100)
+    | st.floats(0.0, 100.0)
+)
+growth = st.sampled_from(
+    [AssessmentPolicy.incremental(), AssessmentPolicy.exponential()]
+) | st.builds(
+    AssessmentPolicy.linear,
+    st.integers(1, 5) | st.floats(1.0, 5.0),
+    st.integers(0, 5) | st.floats(0.0, 5.0),
+)
+
+
+def step_clamping_every_score(ledger, verdict, penalty_policy, compensation_policy, budget, new):
+    """``step_epoch`` in its plain form: every grown score and the threat go through ``clamp``."""
+    epoch, measurements = ledger.epoch + 1, ledger.measurements + new
+    penalty, compensation, previous, state = (
+        ledger.penalty, ledger.compensation, ledger.threat_index, ledger.state
+    )
+    if verdict is Verdict.MALICIOUS:
+        state = LifecycleState.SUSPICIOUS
+        penalty = clamp(penalty_policy.grow(penalty, epoch))
+        raw = previous + penalty
+    elif state is LifecycleState.SUSPICIOUS:
+        compensation = clamp(compensation_policy.grow(compensation, epoch))
+        raw = previous - compensation
+    else:
+        raw = previous
+    threat_index = clamp(raw)
+    if threat_index == 0.0:
+        state = LifecycleState.NORMAL
+    if measurements >= budget:
+        state = LifecycleState.TERMINABLE
+    stepped = ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements)
+    return stepped, threat_index - previous
+
+
+def spelled(value):
+    # ``repr`` tells 5 from 5.0 and 0.0 from -0.0, and is exact for floats.
+    return type(value), repr(value)
+
+
+@given(
+    scores,
+    scores,
+    scores,
+    st.sampled_from([LifecycleState.NORMAL, LifecycleState.SUSPICIOUS]),
+    st.integers(0, 2000),
+    st.integers(0, 50),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(Verdict),
+    growth,
+    growth,
+)
+@example(0, 0, 0, LifecycleState.NORMAL, 0, 0, 1, 1, Verdict.BENIGN, *[AssessmentPolicy()] * 2)
+@example(0, 0, 5, LifecycleState.NORMAL, 0, 0, 1, 1, Verdict.BENIGN, *[AssessmentPolicy()] * 2)
+@example(
+    -0.0, -0.0, -0.0, LifecycleState.NORMAL, 0, 0, 1, 1, Verdict.BENIGN, *[AssessmentPolicy()] * 2
+)
+@example(
+    -0.0, -0.0, -0.0, LifecycleState.SUSPICIOUS, 0, 0, 1, 1, Verdict.BENIGN,
+    *[AssessmentPolicy.linear(1, 0)] * 2,
+)
+@example(
+    3, 2, 5, LifecycleState.SUSPICIOUS, 4, 4, 1, 1, Verdict.MALICIOUS,
+    *[AssessmentPolicy.linear(2, 1)] * 2,
+)
+@example(
+    3, 2, 5, LifecycleState.SUSPICIOUS, 4, 4, 1, 1, Verdict.BENIGN,
+    *[AssessmentPolicy.linear(1, 0)] * 2,
+)
+def test_step_epoch_matches_clamping_every_score(
+    penalty, compensation, threat_index, state, epoch, measurements, room, new, verdict,
+    penalty_policy, compensation_policy,
+):
+    ledger = ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements)
+    args = (ledger, verdict, penalty_policy, compensation_policy, measurements + room, new)
+    got, got_delta = step_epoch(*args)
+    want, want_delta = step_clamping_every_score(*args)
+    assert [spelled(value) for value in vars(got).values()] == [
+        spelled(value) for value in vars(want).values()
+    ]
+    assert spelled(got_delta) == spelled(want_delta)
+
+
+# -- one move per actuate call --------------------------------------------------
+
+unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# Mostly deltas small enough that a share lands between its bounds.
+deltas = st.floats(-3.0, 3.0) | st.floats(-1000.0, 1000.0) | st.sampled_from(
+    [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 1.0, -1.0, 100.0, -100.0, 1e-300, -1e-300]
+)
+
+
+@given(st.data())
+def test_actuate_matches_the_per_target_walk(data):
+    multiplicative = data.draw(st.booleans(), label="multiplicative")
+    step = data.draw(unit_open, label="step")
+    targets = data.draw(st.sets(st.sampled_from(RESOURCES), min_size=1), label="targets")
+    floors = {resource: data.draw(unit_open, label=f"floor_{resource}") for resource in RESOURCES}
+    start = {
+        resource: data.draw(st.floats(floors[resource], 1.0) if resource in targets else share)
+        for resource in RESOURCES
+    }
+    walk = data.draw(st.lists(deltas, max_size=30), label="deltas")
+    policy = ActuatorPolicy(
+        step,
+        ActuationMode.MULTIPLICATIVE if multiplicative else ActuationMode.ADDITIVE,
+        tuple(targets),
+        **{f"floor_{resource}": floor for resource, floor in floors.items()},
+    )
+    targeted = {resource: floors[resource] for resource in RESOURCES if resource in targets}
+    expected = share_walk(start, walk, step, multiplicative, targeted)
+    shares = ResourceShares(**start)
+    for delta, want in zip(walk, expected):
+        moved = actuation.actuate(shares, delta, policy)
+        assert [getattr(moved, r).hex() for r in RESOURCES] == [want[r].hex() for r in RESOURCES]
+        assert (moved is shares) is (dataclasses.astuple(moved) == dataclasses.astuple(shares))
+        shares = moved
+
+
+# -- stochastic verdicts compare the draw's bits with a cutoff ------------------
+
+probabilities = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.0, 1.0, SUBNORMAL, 2.2250738585072014e-308, 2.0**-53, math.nextafter(1.0, 0.0)]
+)
+seeds = st.integers(0, 2**64 - 1)
+
+
+def source_for(probability, seed, truth=GroundTruth.ATTACK):
+    """A source whose ground truth picks ``probability``; the other rate is a decoy."""
+    if truth is GroundTruth.ATTACK:
+        return StochasticSource(probability, 0.5, truth, seed)
+    return StochasticSource(0.5, probability, truth, seed)
+
+
+@given(
+    seeds,
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=20),
+    probabilities,
+    st.sampled_from(GroundTruth),
+)
+def test_verdict_matches_the_float_draw(seed, epochs, probability, truth):
+    source = source_for(probability, seed, truth)
+    for epoch in epochs:
+        want = float_draw_verdict(seed, epoch, probability)
+        assert source.verdict_at(epoch).value == want
+
+
+@given(seeds, st.integers(0, 2**40))
+def test_a_probability_equal_to_the_draw_and_its_neighbours(seed, epoch):
+    draw = uniform_draw(seed, epoch)
+    for probability in (math.nextafter(draw, 0.0), draw, math.nextafter(draw, 1.0)):
+        got = source_for(probability, seed).verdict_at(epoch)
+        assert got.value == float_draw_verdict(seed, epoch, probability)
+        assert (got is Verdict.MALICIOUS) is (probability > draw)
+
+
+@given(st.integers(0, 2**53 - 1), probabilities)
+@example(0, 0.0)
+@example(0, SUBNORMAL)
+@example(1, SUBNORMAL)
+@example(1, 2.0**-53)
+@example(1, math.nextafter(2.0**-53, 1.0))
+@example(2**53 - 1, 1.0)
+@example(2**53 - 1, math.nextafter(1.0, 0.0))
+def test_the_cutoff_is_the_draw_scaled_by_a_power_of_two(bits, probability):
+    # Python compares an int with a float exactly, and both products are exact.
+    assert (bits < probability * 2.0**53) is (bits * 2.0**-53 < probability)
+
+
+def test_the_cutoff_is_not_a_field():
+    first = StochasticSource(0.3, 0.1, GroundTruth.ATTACK, 5)
+    second = StochasticSource(0.3, 0.1, GroundTruth.ATTACK, 5)
+    assert first == second and hash(first) == hash(second)
+    assert "_cutoff" not in repr(first)
+    assert dataclasses.replace(first, ground_truth=GroundTruth.BENIGN)._cutoff == 0.1 * 2.0**53
+
+
 # -- no enum class lookups on the per-epoch path ------------------------------
 
 ENUM_CLASSES = {"LifecycleState", "Verdict", "GrowthFamily", "ActuationMode", "GroundTruth"}
@@ -188,7 +380,6 @@ HOT_PATH = [
     threat.resolve_terminable,
     threat.AssessmentPolicy.grow,
     threat.ThreatLedger.__init__,
-    actuation._move,
     actuation.actuate,
     actuation.ResourceShares.__init__,
     detectors.StochasticSource.verdict_at,
@@ -365,3 +556,32 @@ def test_fake_apply_builds_no_record_and_no_ack():
         for name in code.co_names
     }
     assert not named & {"CallRecord", "Ack"}
+
+
+# -- log.csv rows as one % format -------------------------------------------------
+
+signed = st.sampled_from(
+    [0.0, -0.0, 1e-7, -1e-7, 5e-7, -5e-7, 0.5, 1.0, 100.0, 1234.5678905]
+) | st.floats(-1e6, 1e6)
+records = st.builds(
+    EpochRecord,
+    st.integers(0, 10**6),
+    st.sampled_from(IDENTS),
+    st.sampled_from(["none", "malicious", "benign"]),
+    signed,
+    signed,
+    signed,
+    st.sampled_from([state.value for state in LifecycleState]),
+    *[signed] * 6,
+)
+
+
+@given(st.lists(records, max_size=40))
+@example([EpochRecord(3, ident, "benign", *[-0.0] * 3, "normal", *[-0.0] * 6) for ident in IDENTS])
+@example([EpochRecord(0, "worker", "none", *[0.0] * 3, "normal", *[-0.0] * 6)] * 2)
+def test_log_lines_match_the_csv_writer(rows):
+    log = ScenarioLog(epochs=1, records=tuple(rows))
+    spelled_log, written = io.StringIO(), io.StringIO()
+    log.write_csv(spelled_log)
+    write_rows(written, LOG_CSV_HEADER, [record.csv_row() for record in rows])
+    assert spelled_log.getvalue() == written.getvalue()

@@ -1,5 +1,6 @@
 """Supervision loop: adapter call sequences and final reports."""
 
+import dataclasses
 import logging
 import random
 import threading
@@ -300,6 +301,47 @@ class TestDrySource:
             supervise(scenario, FakeHostAdapter())
         assert str(supervised.value) == str(simulated.value)
         assert str(supervised.value) == "process 'p': trace covers epochs [1, 3), requested 3"
+
+
+class TestFailedRunReport:
+    def test_the_error_carries_the_state_each_process_reached(self):
+        # ``p`` runs dry at epoch 3. ``a`` comes before it in the loop and
+        # has run epoch 3; ``z`` comes after it and has run epoch 2 only.
+        specs = [cpu_spec("a", [M] * 5), cpu_spec("p", [M, B]), cpu_spec("z", [M, M, B, B, B])]
+        with pytest.raises(ScenarioError) as failed:
+            supervise(make_scenario(specs, epochs=6, budget=10), FakeHostAdapter())
+        after_two = supervise(make_scenario(specs, epochs=3, budget=10), FakeHostAdapter())
+        after_three = supervise(
+            make_scenario([specs[0]], epochs=4, budget=10), FakeHostAdapter()
+        )
+        assert failed.value.reports == (
+            after_three[0],
+            dataclasses.replace(after_two[1], epochs_run=3),
+            after_two[2],
+        )
+
+    def test_a_failed_spawn_carries_the_processes_attached_before_it(self):
+        class FullHost(FakeHostAdapter):
+            def spawn(self, ident):
+                if ident == "b":
+                    raise OSError("no room for b")
+                return super().spawn(ident)
+
+        specs = [cpu_spec("a", [M]), cpu_spec("b", [M])]
+        with pytest.raises(OSError) as failed:
+            supervise(make_scenario(specs, epochs=2, budget=10), FullHost())
+        assert failed.value.reports == (SupervisionReport("a", "normal", 0, None, DEFAULT_SHARES),)
+
+    def test_an_adapter_error_carries_the_reports_too(self):
+        class Refusing(FakeHostAdapter):
+            def apply_shares(self, handle, shares):
+                raise OSError("refused")
+
+        with pytest.raises(OSError) as failed:
+            supervise(make_scenario([cpu_spec("p", [M])], epochs=2, budget=10), Refusing())
+        (report,) = failed.value.reports
+        assert (report.process_id, report.final_state, report.epochs_run) == ("p", "suspicious", 1)
+        assert report.shares is DEFAULT_SHARES
 
 
 class TestReportShape:
