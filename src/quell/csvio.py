@@ -4,7 +4,14 @@ Input files (verdict traces, measurement streams, efficacy curves) are
 UTF-8 with a fixed header, compared after stripping each cell. Blank and
 whitespace-only rows are skipped, every other row has one field per
 header column, and every row error names ``path:line``, as does the
-first byte that is not UTF-8. Output files (``log.csv``, ``slowdown.csv``,
+first byte that is not UTF-8. A file inside a strict subset (all UTF-8,
+no ``"``, CR or NUL, no line longer than the ``csv`` module's field
+limit, the expected header) is split into columns by ``split_columns``
+with ``str.split`` alone: on such a file ``csv.reader`` reads each line
+as ``line.split(",")``, so the cells are the same. Any other file, and
+any file a loader's lean path doubts, goes through ``read_rows``, which
+alone raises; the results and the errors are the same either way.
+Output files (``log.csv``, ``slowdown.csv``,
 ``calls.csv``, ``supervision.csv``) are UTF-8 with LF line endings and
 minimal quoting, written to a path or to an open text stream. The short
 reports go through ``csv.writer`` (``write_rows``); the two long logs
@@ -17,13 +24,13 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 
 def read_rows(
-    path: Path, header: tuple[str, ...], kind: str
+    path: Path, header: tuple[str, ...], kind: str, decoded: tuple[str, int, str] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, row)`` for each non-blank row after the header.
 
@@ -35,9 +42,10 @@ def read_rows(
     raises ``ValueError``, as does the row that reaches the first byte
     that is not UTF-8. Every row before that one is still yielded, so
     the first error in line order is the one raised, whether the caller
-    or this reader finds it. The file is read when iteration starts.
+    or this reader finds it. ``decoded`` is ``read_text(path)`` when the
+    caller has it already; else the file is read when iteration starts.
     """
-    text, bad_line, bad_message = read_text(path)
+    text, bad_line, bad_message = decoded or read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     width = len(header)
     end = 0
@@ -82,6 +90,29 @@ def read_text(path: Path) -> tuple[str, int, str]:
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         message = f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
         return data.decode("utf-8", "surrogateescape"), line, message
+
+
+def split_columns(text: str, header: tuple[str, ...]) -> list[tuple[str, ...]] | None:
+    """The cells of ``text``'s non-blank rows after the header, column by column.
+
+    None unless ``text`` is inside the split subset (module docstring)
+    and has at least one such row, each with one field per ``header``
+    column. The cells are then those ``read_rows`` yields, unstripped.
+    ``text`` must be all UTF-8. Never raises.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if tuple(cell.strip() for cell in lines[0].split(",")) != header:
+        return None
+    try:
+        columns = list(zip(*map(str.split, filter(str.strip, lines[1:]), repeat(",")), strict=True))
+    except ValueError:  # rows of different widths
+        return None
+    return columns if len(columns) == len(header) else None
 
 
 @contextmanager

@@ -17,6 +17,15 @@ bits ``k``, read as ``k * 2**-53`` in [0, 1), fall below the probability
 ``p``; ``StochasticSource`` tests ``k < p * 2**53`` instead, the same
 test scaled by a power of two, and Python compares an int with a float
 exactly.
+
+``load_trace_csv`` and ``load_measurement_stream_csv`` read each file
+once. A file inside ``csvio``'s split subset whose rows already run in
+order (each process's epochs consecutive from 0 or 1, a stream's epochs
+0, 1, 2, ... with finite values) is read from ``csvio.split_columns``
+without the ``csv`` module. Every other file, and any doubt along the
+way, falls back to ``csvio.read_rows`` over the same decoded text,
+which alone reports errors, so the sources and the messages are the
+same on either path.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 from typing import Union
 
-from .csvio import read_rows
+from .csvio import read_rows, read_text, split_columns
 from .threat import Verdict
 
 __all__ = [
@@ -211,6 +221,54 @@ def _parse_verdict(text: str, path: Path, line: int) -> Verdict:
     return verdict
 
 
+def _lean_traces(text: str) -> dict[str, TraceSource] | None:
+    """``load_trace_csv``'s result for ``text``, or None if the fallback must read it.
+
+    Each process's rows must come in consecutive epochs from 0 or 1;
+    rows of different processes may interleave. Never raises.
+    """
+    columns = split_columns(text, TRACE_CSV_HEADER)
+    if columns is None:
+        return None
+    epochs, processes, verdicts = columns
+    try:
+        epochs = list(map(int, epochs))
+        verdicts = list(map(_VERDICTS.__getitem__, map(str.strip, verdicts)))
+    except (KeyError, ValueError):
+        return None
+    traces: dict[str, tuple[int, list[Verdict]]] = {}
+    start = 0
+    for process, block in groupby(map(str.strip, processes)):
+        stop = start + len(list(block))
+        first, seen = traces.setdefault(process, (epochs[start], []))
+        expected = first + len(seen)
+        if not process or not 0 <= first <= 1 or (
+            epochs[start:stop] != list(range(expected, expected + stop - start))
+        ):
+            return None
+        seen += verdicts[start:stop]
+        start = stop
+    return {
+        process: TraceSource(tuple(seen), start_epoch=first)
+        for process, (first, seen) in traces.items()
+    }
+
+
+def _lean_stream(text: str) -> tuple[float, ...] | None:
+    """``load_measurement_stream_csv``'s result for ``text``, or None if the fallback must read it."""
+    columns = split_columns(text, STREAM_CSV_HEADER)
+    if columns is None:
+        return None
+    epochs, values = columns
+    try:
+        if list(map(int, epochs)) != list(range(len(epochs))):
+            return None
+        values = tuple(map(float, values))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
     """Read per-process traces from CSV with the header epoch,process,verdict.
 
@@ -218,8 +276,12 @@ def load_trace_csv(path: str | Path) -> dict[str, TraceSource]:
     0 or 1; simulation consumes verdicts from epoch 1).
     """
     path = Path(path)
+    decoded = read_text(path)
+    lean = None if decoded[1] else _lean_traces(decoded[0])
+    if lean is not None:
+        return lean
     rows: dict[str, dict[int, Verdict]] = {}
-    for line, row in read_rows(path, TRACE_CSV_HEADER, "trace"):
+    for line, row in read_rows(path, TRACE_CSV_HEADER, "trace", decoded):
         try:
             epoch = int(row[0])
         except ValueError:
@@ -258,8 +320,12 @@ def load_measurement_stream_csv(path: str | Path) -> tuple[float, ...]:
     finite; the returned tuple is indexed by epoch.
     """
     path = Path(path)
+    decoded = read_text(path)
+    lean = None if decoded[1] else _lean_stream(decoded[0])
+    if lean is not None:
+        return lean
     values: dict[int, float] = {}
-    for line, row in read_rows(path, STREAM_CSV_HEADER, "stream"):
+    for line, row in read_rows(path, STREAM_CSV_HEADER, "stream", decoded):
         try:
             epoch = int(row[0])
             value = float(row[1])

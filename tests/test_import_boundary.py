@@ -80,3 +80,35 @@ def test_the_fleets_load_without_configparser(tmp_path, monkeypatch):
         capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout == "False\n"
+
+
+def test_the_bundled_and_fleet_inputs_load_without_the_csv_reader(tmp_path, monkeypatch):
+    # Every trace and stream the benchmark and the bundled configs read is
+    # inside the split subset; if one fell back to csv.reader, its load
+    # would pay the reader and the per-row parse again.
+    from quell.config import load_scenario
+    from quell.detectors import load_measurement_stream_csv, load_trace_csv
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import fleet
+
+    inis = [
+        fleet.write_sim_fleet(tmp_path / "sim", 1),
+        fleet.write_supervise_fleet(tmp_path / "supervise", 1),
+    ]
+    configs = Path(__file__).parent.parent / "configs"
+    traces = [configs / "attack_trace.csv", configs / "recovery_trace.csv"]
+    traces += [path for ini in inis for path in ini.parent.glob("traces.csv")]
+    streams = [path for ini in inis for path in ini.parent.glob("stream_*.csv")]
+    assert len(traces) == 3 and streams
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr("csv.reader", no_reader)
+    for path in traces:
+        assert load_trace_csv(path)
+    for path in streams:
+        assert load_measurement_stream_csv(path)
+    for ini in inis:
+        load_scenario(ini)
