@@ -41,6 +41,7 @@ and each keeps its text and its place in line order.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from enum import Enum, EnumMeta
@@ -143,7 +144,6 @@ _TABLE: dict[str, dict[str, tuple[str, object]]] = {
         "combiner": ("combiner", Combiner),
         **{f"response_{name}": (name, parse_response_curve) for name in RESOURCES},
         "base_rate": ("base_rate", float),
-        "unit": ("unit_label", str),
         "detector": ("detector", str),
     },
     "detector": {"kind": ("kind", _DetectorKind)},
@@ -229,6 +229,17 @@ def _near_miss(word: str, known) -> str | None:
     return match[0] if match else None
 
 
+@functools.lru_cache(maxsize=1024)
+def _near_miss_key(key: str, kind: str) -> str | None:
+    """``_near_miss`` of ``key`` among the keys ``kind`` holds, looked up once per process.
+
+    An ignored key usually repeats in every section of its kind (a fleet
+    gives each process the same one), and each ``difflib`` lookup costs
+    about 20 µs.
+    """
+    return _near_miss(key, _KNOWN[kind])
+
+
 def _check_keys(section: _Section, kind: str) -> None:
     """Reject a key of ``section`` that is a near miss of one ``kind`` holds.
 
@@ -239,10 +250,12 @@ def _check_keys(section: _Section, kind: str) -> None:
     known = _KNOWN[kind]
     if known.issuperset(section.raw):
         return
-    exempt = set(section.ini.defaults)
-    for value in section.raw.values():
-        # configparser's own pattern for a %(name)s reference; its optionxform lowercases
-        exempt.update(map(str.lower, re.findall(r"%\(([^)]+)\)s", value)))
+    exempt = set()
+    if section.ini.parser is not None:  # a lean-read file has no [DEFAULT] and no %
+        exempt.update(section.ini.defaults)
+        for value in section.raw.values():
+            # configparser's own pattern for a %(name)s reference; its optionxform lowercases
+            exempt.update(map(str.lower, re.findall(r"%\(([^)]+)\)s", value)))
     for key in section.raw:
         if key in known or key in exempt:
             continue
@@ -253,7 +266,7 @@ def _check_keys(section: _Section, kind: str) -> None:
                     f"[{section.name}] key {key!r} belongs to kind = {owner}, not {kind}; "
                     f"did you mean kind = {owner}?"
                 )
-        match = _near_miss(key, known)
+        match = _near_miss_key(key, kind)
         if match is not None:
             raise ConfigError(f"[{section.name}] unknown key {key!r}; did you mean {match!r}?")
 

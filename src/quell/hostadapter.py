@@ -16,8 +16,8 @@ compact: one ``(handle, call, args)`` tuple per call, whose ``args`` is
 formatted when the call is made, once per distinct shares value, so
 equal shares share one string. ``calls`` builds the ``CallRecord`` list
 from it on each read and returns a fresh list, and the CSV export spells
-each row straight from the log as one line. Acks are immutable, so the
-fake answers every apply with one of two instances it builds up front.
+each row straight from the log as one line. Acks are immutable, so each
+adapter answers with instances built once, one per outcome.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a
@@ -84,6 +84,10 @@ class Ack:
 
     noop: bool = False
     unsupported: tuple[str, ...] = ()
+
+
+_DONE = Ack()
+_NOOP = Ack(noop=True)
 
 
 class HostAdapter(Protocol):
@@ -170,10 +174,10 @@ class FakeHostAdapter:
     def terminate(self, handle: ProcessHandle) -> Ack:
         proc = self._lookup(handle)
         if not proc.alive:
-            return Ack(noop=True)
+            return _NOOP
         proc.alive = False
         self._log.append((handle.ident, "terminate", ""))
-        return Ack()
+        return _DONE
 
     # -- inspection and export ----------------------------------------------
 
@@ -274,6 +278,8 @@ class LinuxSignalAdapter:
     PERIOD_MS = 100.0
     _PID_MAX = 2**31 - 1  # the largest C ``pid_t``
     _UNSUPPORTED = ("memory", "network", "filesystem")
+    _APPLIED = Ack(unsupported=_UNSUPPORTED)
+    _UNCHANGED = Ack(noop=True, unsupported=_UNSUPPORTED)
 
     def __init__(self) -> None:
         self._cyclers: dict[str, _DutyCycler] = {}
@@ -310,7 +316,7 @@ class LinuxSignalAdapter:
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
         pid = self._require_alive(handle)
         if shares.cpu == self._cpu.get(handle.ident):
-            return Ack(noop=True, unsupported=self._UNSUPPORTED)
+            return self._UNCHANGED
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
         else:
@@ -323,7 +329,7 @@ class LinuxSignalAdapter:
             else:
                 cycler.fraction = shares.cpu
         self._cpu[handle.ident] = shares.cpu
-        return Ack(unsupported=self._UNSUPPORTED)
+        return self._APPLIED
 
     def terminate(self, handle: ProcessHandle) -> Ack:
         self._stop_cycler(handle.ident)
@@ -331,12 +337,12 @@ class LinuxSignalAdapter:
         # A zombie has nothing left to kill, so it is acknowledged as
         # already gone, the same as a reaped pid.
         if not self._pid_exists(pid):
-            return Ack(noop=True)
+            return _NOOP
         try:
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
-            return Ack(noop=True)
-        return Ack()
+            return _NOOP
+        return _DONE
 
     def close(self) -> None:
         for ident in list(self._cyclers):

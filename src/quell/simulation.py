@@ -182,7 +182,6 @@ class ProgressModel:
     """
 
     base_rate: float
-    unit_label: str = "units"
     response: Mapping[str, ResponseCurve] = field(default_factory=dict)
     combiner: Combiner = Combiner.BOTTLENECK_MIN
 

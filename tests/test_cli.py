@@ -514,7 +514,7 @@ class TestConfigErrorsBeforeTheRun:
     @pytest.mark.parametrize(
         "line, expected",
         [
-            ("base_rate = 100\nunit = 100%", "error: [process.a] unit: "),
+            ("base_rate = 100\ncombiner = 100%", "error: [process.a] combiner: "),
             ("base_rate = %(missing)s", "error: [process.a] base_rate: "),
         ],
     )

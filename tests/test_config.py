@@ -56,7 +56,6 @@ class TestWorkedConfigs:
         (spec,) = scenario.processes
         assert spec.process_id == "attack"
         assert spec.model.base_rate == 225.7
-        assert spec.model.unit_label == "KB encrypted"
         assert spec.model.combiner is Combiner.BOTTLENECK_MIN
         assert spec.model.response == {"cpu": Proportional()}
         source = spec.source
@@ -388,9 +387,14 @@ class TestInterpolation:
         assert spec.model.base_rate == 6.5
 
     def test_doubled_percent_is_a_literal_percent(self, tmp_path):
-        text = MINIMAL.replace("base_rate = 3.5", "base_rate = 3.5\nunit = 50%% CPU")
+        rows = "".join(f"{epoch},worker,malicious\n" for epoch in range(1, 5))
+        (tmp_path / "50%.csv").write_text("epoch,process,verdict\n" + rows)
+        text = MINIMAL.replace(
+            "kind = stochastic\ntpr = 1.0\nfpr = 0.0\nground_truth = attack\n",
+            "kind = trace\nfile = 50%%.csv\n",
+        )
         (spec,) = load_scenario(write_ini(tmp_path, text)).processes
-        assert spec.model.unit_label == "50% CPU"
+        assert isinstance(spec.source, TraceSource)
 
     def test_stray_percent_in_an_unread_key_is_harmless(self, tmp_path):
         text = MINIMAL.replace("base_rate = 3.5", "base_rate = 3.5\nnote = 100%")

@@ -1,10 +1,12 @@
 """Scenario keys: near misses are errors, unrelated keys are not, and README names them all."""
 
+import difflib
 import re
 from pathlib import Path
 
 import pytest
 
+from quell import config
 from quell.actuation import RESOURCES
 from quell.cli import EXIT_CONFIG, main
 from quell.config import _TABLE, ConfigError, load_scenario
@@ -127,6 +129,34 @@ def test_unrelated_sections_are_left_alone(tmp_path, configs_dir, name):
     text = worked_attack(configs_dir)
     expected = load_scenario(write(tmp_path, text))
     assert load_scenario(write(tmp_path, text + f"\n[{name}]\nthrotle_step = 1\n")) == expected
+
+
+@pytest.mark.parametrize("line", ["unit = KB encrypted", "unit = 100%"])
+@pytest.mark.parametrize(
+    "name, section", [("worked_attack.ini", "process.attack"), ("benign.ini", "process.builder")]
+)
+def test_a_unit_key_is_ignored(tmp_path, configs_dir, name, section, line):
+    # Older scenario files set ``unit``; it is no key quell reads nor a near miss of one.
+    text = after_header((configs_dir / name).read_text(encoding="utf-8"), section, line)
+    assert load_scenario(write(tmp_path, text)) == load_scenario(configs_dir / name)
+
+
+def test_an_ignored_key_in_every_process_is_looked_up_once(tmp_path, monkeypatch):
+    looked_up = []
+    get_close_matches = difflib.get_close_matches
+
+    def counted(word, *args, **kwargs):
+        looked_up.append(word)
+        return get_close_matches(word, *args, **kwargs)
+
+    monkeypatch.setattr(difflib, "get_close_matches", counted)
+    config._near_miss_key.cache_clear()
+    text = "[scenario]\nepochs = 5\nmeasurement_budget = 10\n"
+    for index in range(20):
+        text += f"\n[process.p{index}]\nbase_rate = 1.0\nnote = x\ndetector = d\n"
+    text += "\n[detector.d]\nkind = stochastic\ntpr = 1.0\nfpr = 0.0\nground_truth = attack\n"
+    assert len(load_scenario(write(tmp_path, text)).processes) == 20
+    assert looked_up == ["note"]
 
 
 def test_a_default_key_is_exempt_everywhere(tmp_path, configs_dir):

@@ -147,6 +147,12 @@ class TestTerminate:
         assert ack.noop is True
         assert len(adapter.calls) == before
 
+    def test_each_outcome_is_one_shared_ack(self):
+        adapter = FakeHostAdapter()
+        first, second = adapter.spawn("a"), adapter.spawn("b")
+        assert adapter.terminate(first) is adapter.terminate(second)
+        assert adapter.terminate(first) is adapter.terminate(second)
+
     def test_natural_exit_behaves_like_termination(self):
         adapter = FakeHostAdapter()
         handle = adapter.spawn("worker")
