@@ -289,13 +289,19 @@ class LinuxSignalAdapter:
         """Handle for ``pid``, which must name one process other than quell.
 
         Pid 0 and negative pids address process groups, a pid past the
-        largest ``pid_t`` addresses nothing, and quell's own pid would
-        stop quell itself; each is rejected before any signal is sent. A
-        process quell may not signal could be neither throttled nor
-        killed, so it is rejected too.
+        largest ``pid_t`` addresses nothing, quell's own pid would stop
+        quell itself, and pid 1 ignores the signals quell would send it;
+        each is rejected before any signal is sent. A process quell may
+        not signal could be neither throttled nor killed, so it is
+        rejected too.
         """
         if not 1 <= pid <= self._PID_MAX:
             raise ValueError(f"pid must be between 1 and {self._PID_MAX}, got {pid}")
+        if pid == 1:
+            raise ValueError(
+                "pid 1 is the init of quell's pid namespace,"
+                " which ignores SIGSTOP and SIGKILL sent from inside it"
+            )
         if pid == os.getpid():
             raise ValueError(f"pid {pid} is quell's own process")
         try:

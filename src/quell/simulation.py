@@ -9,7 +9,8 @@ epoch resolves it instead: benign restores the default shares and keeps
 going, malicious terminates the process. The termination epoch accrues
 zero progress and is the process's final record. ``respond`` is that
 per-epoch transition; the supervisor runs the same function against a
-live host.
+live host. Both drivers step epoch by epoch, and within an epoch the
+live processes in id order, so both raise the same first failure.
 
 Progress per epoch is ``base_rate`` scaled by the process's response to
 its current shares. Response curves map one resource's share to a
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .actuation import (
     DEFAULT_SHARES,
@@ -416,7 +417,8 @@ def respond(
     return ledger, actuate(shares, delta, scenario.actuator)
 
 
-def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
+def _run_process(spec: ProcessSpec, scenario: Scenario) -> Iterator[EpochRecord]:
+    """Yield the process's record for each epoch; the caller stops at a terminated one."""
     ledger = ThreatLedger()
     shares = DEFAULT_SHARES
     # Progress depends on the shares only, and ``respond`` returns the
@@ -425,7 +427,6 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
     rated_shares = None
     rate = 0.0
     cumulative = 0.0
-    records: list[EpochRecord] = []
     for epoch in range(scenario.epochs):
         if epoch == 0 or not scenario.response_enabled:
             verdict_name = NO_VERDICT
@@ -438,8 +439,7 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
             verdict_name = verdict._value_
             ledger, shares = respond(ledger, shares, verdict, scenario)
         state = ledger.state
-        terminated = state is _TERMINATED
-        if terminated:
+        if state is _TERMINATED:
             progress = 0.0
         else:
             if shares is not rated_shares:
@@ -447,43 +447,39 @@ def _run_process(spec: ProcessSpec, scenario: Scenario) -> list[EpochRecord]:
                 rate = progress_rate(spec.model, shares)
             progress = rate
         cumulative += progress
-        records.append(
-            EpochRecord(
-                epoch,
-                spec.process_id,
-                verdict_name,
-                ledger.penalty,
-                ledger.compensation,
-                ledger.threat_index,
-                state._value_,
-                shares.cpu,
-                shares.memory,
-                shares.network,
-                shares.filesystem,
-                progress,
-                cumulative,
-            )
+        yield EpochRecord(
+            epoch,
+            spec.process_id,
+            verdict_name,
+            ledger.penalty,
+            ledger.compensation,
+            ledger.threat_index,
+            state._value_,
+            shares.cpu,
+            shares.memory,
+            shares.network,
+            shares.filesystem,
+            progress,
+            cumulative,
         )
-        if terminated:
-            break
-    return records
 
 
 def run_scenario(scenario: Scenario) -> ScenarioLog:
-    """Run every process through the scenario and merge the records.
+    """Run the processes epoch by epoch, each epoch in id order.
 
-    Each run is in epoch order and ids are unique, so taking epoch by
-    epoch the runs still alive, in id order, sorts by epoch then id.
-    Processes run in scenario order, so the first failure in that order
-    is the one raised.
+    That is the order of the log's records and the order ``supervise``
+    steps in, so the first failure raised is the earliest epoch's, then
+    the lowest id's. A terminated process has no record after that epoch.
     """
-    runs = [_run_process(spec, scenario) for spec in scenario.processes]
-    runs.sort(key=lambda run: run[0].process_id)
-    merged: list[EpochRecord] = []
-    for epoch in range(scenario.epochs):
-        merged.extend([run[epoch] for run in runs])
-        runs = [run for run in runs if len(run) > epoch + 1]
-    return ScenarioLog(epochs=scenario.epochs, records=tuple(merged))
+    terminated = _TERMINATED._value_
+    ordered = sorted(scenario.processes, key=lambda spec: spec.process_id)
+    live = [_run_process(spec, scenario) for spec in ordered]
+    records: list[EpochRecord] = []
+    for _ in range(scenario.epochs):
+        rows = [next(run) for run in live]
+        records += rows
+        live = [run for run, row in zip(live, rows) if row.state != terminated]
+    return ScenarioLog(epochs=scenario.epochs, records=tuple(records))
 
 
 def baseline(scenario: Scenario) -> Baseline:

@@ -7,10 +7,12 @@ hands back new ones, which it does exactly when a share moved, so the
 adapter sees one apply call per share-changing epoch and none
 otherwise. A process that disappears on its own, before the poll or
 between the poll and the apply, is recorded as completed and left
-alone. A verdict source that runs dry raises the simulator's
-``ScenarioError``, naming the process. A process is finished exactly
-when its ledger is terminated, and the loop ends once every process is
-finished. An error that stops the run carries the report so far.
+alone. Processes are attached and stepped in id order, as the
+simulator steps them, so a verdict source that runs dry raises the
+simulator's ``ScenarioError`` for the same process. A process is
+finished exactly when its ledger is terminated, and the loop ends once
+every process is finished. An error that stops the run carries the
+report so far.
 
 Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
@@ -95,7 +97,7 @@ def supervise(
     """
     supervised = []
     try:
-        for spec in scenario.processes:
+        for spec in sorted(scenario.processes, key=lambda spec: spec.process_id):
             if handles is not None and spec.process_id in handles:
                 handle = handles[spec.process_id]
             else:
@@ -161,5 +163,5 @@ def _reports(supervised: list[_Supervised]) -> tuple[SupervisionReport, ...]:
             state.process_id, state.ledger.state.value, state.epochs_run,
             state.ledger.exit_reason, state.shares,
         )
-        for state in sorted(supervised, key=lambda state: state.process_id)
+        for state in supervised
     )

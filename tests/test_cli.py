@@ -220,6 +220,26 @@ class TestSuperviseFake:
             "attack,terminated,16,detector,0.010000,1.000000,1.000000,1.000000",
         ]
 
+    def test_processes_listed_out_of_id_order_are_stepped_in_id_order(self, tmp_path, capsys):
+        section = (
+            "[process.{}]\nbase_rate = 100\nresponse_cpu = proportional\ndetector = flagger\n\n"
+        )
+        head = "[scenario]\nepochs = 4\nmeasurement_budget = 10\n\n"
+        detector = "[detector.flagger]\nkind = stochastic\ntpr = 1.0\nfpr = 0.0\nground_truth = attack\n"
+        outputs = {}
+        for order in ("za", "az"):
+            path = tmp_path / f"{order}.ini"
+            path.write_text(head + "".join(map(section.format, order)) + detector)
+            out = tmp_path / order
+            assert main(["supervise", "--scenario", str(path), "--out", str(out), "--fake-adapter"]) == EXIT_OK
+            outputs[order] = [(out / name).read_bytes() for name in ("calls.csv", "supervision.csv")]
+        capsys.readouterr()
+        assert outputs["za"] == outputs["az"]
+        calls = outputs["za"][0].decode().splitlines()[1:]
+        assert [tuple(row.split(",")[1:3]) for row in calls] == [
+            ("a", "attach"), ("z", "attach"), *[("a", "apply_shares"), ("z", "apply_shares")] * 3
+        ]
+
     @pytest.fixture
     def refused(self, monkeypatch):
         """The CLI's fake host fails its third apply; holds the calls logged by then."""
@@ -410,8 +430,13 @@ class TestSupervisePid:
             ("-1", "pid must be between 1 and 2147483647, got -1"),
             ("99999999999", "pid must be between 1 and 2147483647, got 99999999999"),
             ("own", "pid {own} is quell's own process"),
+            (
+                "1",
+                "pid 1 is the init of quell's pid namespace,"
+                " which ignores SIGSTOP and SIGKILL sent from inside it",
+            ),
         ],
-        ids=["zero", "negative", "too-large", "own"],
+        ids=["zero", "negative", "too-large", "own", "init"],
     )
     def test_pid_naming_no_single_other_process_is_rejected_before_the_output_directory(
         self, tmp_path, quick_scenario, capsys, monkeypatch, pid, message

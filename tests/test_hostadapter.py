@@ -251,7 +251,16 @@ class TestLinuxSignalAdapter:
         assert str(excinfo.value) == f"pid must be between 1 and 2147483647, got {pid}"
         assert sent == []
 
-    @pytest.mark.parametrize("pid", [1, 2**31 - 1])
+    def test_pid_1_is_rejected_unsignalled(self, sent):
+        with pytest.raises(ValueError) as excinfo:
+            LinuxSignalAdapter().attach(1)
+        assert str(excinfo.value) == (
+            "pid 1 is the init of quell's pid namespace,"
+            " which ignores SIGSTOP and SIGKILL sent from inside it"
+        )
+        assert sent == []
+
+    @pytest.mark.parametrize("pid", [2, 2**31 - 1])
     def test_pids_at_the_range_ends_are_looked_up(self, pid, sent):
         with pytest.raises(StaleHandleError, match=f"^no such process: {pid}$"):
             LinuxSignalAdapter().attach(pid)

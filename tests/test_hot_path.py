@@ -387,6 +387,7 @@ HOT_PATH = [
     detectors.TraceSource.verdict_at,
     simulation.respond,
     simulation._run_process,
+    simulation.run_scenario,
     supervisor.supervise,
 ]
 

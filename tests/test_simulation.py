@@ -727,7 +727,7 @@ class TestBaseline:
 
 
 class TestMergeOrder:
-    """The merged log is the per-process runs sorted by epoch, then id."""
+    """The log is each process's own run, sorted by epoch, then id."""
 
     IDS = ("9", "10", "1", "100", "b", "B", "a b", "a")
 

@@ -113,6 +113,16 @@ class TestCallSequences:
         assert (report.final_state, report.epochs_run, report.exit_reason) == ("normal", 5, None)
         assert report.shares == ResourceShares()
 
+    def test_processes_listed_out_of_id_order_are_stepped_in_id_order(self):
+        specs = [cpu_spec("z", [M] * 3), cpu_spec("a", [M] * 3)]
+        listed, ordered = FakeHostAdapter(), FakeHostAdapter()
+        reports = supervise(make_scenario(specs, epochs=4, budget=10), listed)
+        assert reports == supervise(make_scenario(specs[::-1], epochs=4, budget=10), ordered)
+        assert listed.calls == ordered.calls
+        assert [(call.handle, call.call) for call in listed.calls] == [
+            ("a", "attach"), ("z", "attach"), *[("a", "apply_shares"), ("z", "apply_shares")] * 3
+        ]
+
 
 class TestLifecycleEdges:
     def test_natural_exit_is_completed_not_terminated_by_us(self):
@@ -291,16 +301,58 @@ class TestSimulatorDifferential:
         assert {"terminated", "terminable", "suspicious", "normal"} <= outcomes
 
 
+class RecordingSource:
+    """A trace from epoch 1 that records each epoch it is asked for."""
+
+    def __init__(self, verdicts):
+        self.trace = TraceSource(tuple(verdicts), start_epoch=1)
+        self.asked = []
+
+    def verdict_at(self, epoch):
+        self.asked.append(epoch)
+        return self.trace.verdict_at(epoch)
+
+
 class TestDrySource:
-    def test_both_drivers_raise_the_same_error(self):
-        # The trace covers epochs [1, 3) of 6, so epoch 3 finds it dry.
-        scenario = make_scenario([cpu_spec("p", [M, B])], epochs=6, budget=10)
+    # A trace of n verdicts covers epochs [1, n + 1), so epoch n + 1 finds it dry.
+    @pytest.mark.parametrize(
+        ("specs", "message"),
+        [
+            ([cpu_spec("p", [M, B])], "process 'p': trace covers epochs [1, 3), requested 3"),
+            (
+                [cpu_spec("a", [M, B]), cpu_spec("z", [M])],
+                "process 'z': trace covers epochs [1, 2), requested 2",
+            ),
+            (
+                [cpu_spec("z", [M]), cpu_spec("a", [B])],
+                "process 'a': trace covers epochs [1, 2), requested 2",
+            ),
+        ],
+        ids=["one", "earliest-epoch-first", "lowest-id-first"],
+    )
+    def test_both_drivers_raise_the_same_error(self, specs, message):
+        scenario = make_scenario(specs, epochs=6, budget=10)
         with pytest.raises(ScenarioError) as simulated:
             run_scenario(scenario)
         with pytest.raises(ScenarioError) as supervised:
             supervise(scenario, FakeHostAdapter())
-        assert str(supervised.value) == str(simulated.value)
-        assert str(supervised.value) == "process 'p': trace covers epochs [1, 3), requested 3"
+        assert str(simulated.value) == message
+        assert str(supervised.value) == message
+
+    @pytest.mark.parametrize(
+        "driver",
+        [run_scenario, lambda scenario: supervise(scenario, FakeHostAdapter())],
+        ids=["simulate", "supervise"],
+    )
+    def test_no_process_is_asked_past_the_failing_epoch(self, driver):
+        # ``m`` runs dry at epoch 2: ``a`` comes before it and has been
+        # asked for epoch 2, ``z`` comes after it and has not.
+        a, z = RecordingSource([M] * 5), RecordingSource([M] * 5)
+        model = ProgressModel(base_rate=100.0, response={"cpu": Proportional()})
+        specs = [ProcessSpec("z", model, z), cpu_spec("m", [M]), ProcessSpec("a", model, a)]
+        with pytest.raises(ScenarioError, match="^process 'm': "):
+            driver(make_scenario(specs, epochs=6, budget=10))
+        assert (a.asked, z.asked) == ([1, 2], [1])
 
 
 class TestFailedRunReport:
