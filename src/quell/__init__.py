@@ -9,25 +9,52 @@ and only terminate (or fully restore) once the detector has spent its
 measurement budget. A desk-scale simulator quantifies what the throttled
 process still gets done, and a planner converts detection quality
 targets into measurement budgets.
+
+``import quell`` loads no submodule. The public names, each module's
+``__all__`` in ``_EXPORTING`` order, and the submodules resolve on first
+access (PEP 562), so a command loads only the modules it runs.
 """
 
-from .actuation import *  # noqa: F403
-from .config import *  # noqa: F403
-from .detectors import *  # noqa: F403
-from .efficacy import *  # noqa: F403
-from .hostadapter import *  # noqa: F403
-from .simulation import *  # noqa: F403
-from .supervisor import *  # noqa: F403
-from .threat import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
-__all__ += actuation.__all__
-__all__ += config.__all__
-__all__ += detectors.__all__
-__all__ += efficacy.__all__
-__all__ += hostadapter.__all__
-__all__ += simulation.__all__
-__all__ += supervisor.__all__
-__all__ += threat.__all__
+_EXPORTING = (
+    "actuation",
+    "config",
+    "detectors",
+    "efficacy",
+    "hostadapter",
+    "simulation",
+    "supervisor",
+    "threat",
+)
+_SUBMODULES = frozenset(_EXPORTING) | {"cli", "csvio"}
+
+
+def _export() -> list[str]:
+    """Bind every exporting module's public names here, once; the package's ``__all__``."""
+    namespace = globals()
+    if "__all__" not in namespace:
+        names = ["__version__"]
+        for module_name in _EXPORTING:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            namespace.update((name, getattr(module, name)) for name in module.__all__)
+            names += module.__all__
+        namespace["__all__"] = names
+    return namespace["__all__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    # A dunder other than __all__ is a probe (copy, pickle, inspect): it loads nothing.
+    if name == "__all__" or not name.startswith("__"):
+        _export()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_export(), *_SUBMODULES})

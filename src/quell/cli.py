@@ -6,15 +6,16 @@ one handler serves both. Exit codes: 0 on success, 2 for configuration
 or parse errors, 3 for runtime scenario errors, 4 when a planning
 target is unreachable. Results go to stdout or the output directory;
 diagnostics go to stderr.
+
+Only ``supervise`` loads the host adapters, ``signal`` and
+``threading``, and only it and ``--verbose`` runs set up ``logging``:
+no other run emits a record at the level that shows.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import signal
 import sys
-import threading
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
@@ -27,7 +28,6 @@ from .efficacy import (
     load_curve_csv,
     required_measurements,
 )
-from .hostadapter import FakeHostAdapter, LinuxSignalAdapter, StaleHandleError
 from .simulation import (
     ScenarioError,
     baseline,
@@ -41,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_UNREACHABLE = 4
-
-logger = logging.getLogger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +112,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{report.process_id}: slowdown {report.slowdown_pct:.6f}% "
             f"(with {report.progress_with:.6f}, without {report.progress_without:.6f})"
         )
-    logger.info("wrote %s and %s", out_dir / "log.csv", out_dir / "slowdown.csv")
+    if args.verbose:
+        _logger().info("wrote %s and %s", out_dir / "log.csv", out_dir / "slowdown.csv")
     return EXIT_OK
 
 
@@ -132,6 +131,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_supervise(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
+    from .hostadapter import FakeHostAdapter, LinuxSignalAdapter, StaleHandleError
+
     scenario = load_scenario(args.scenario, seed_override=args.seed)
     if args.fake_adapter:
         adapter, handles, pace_seconds = FakeHostAdapter(), None, 0.0
@@ -139,7 +143,11 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         if len(scenario.processes) != 1:
             raise ConfigError("--pid supervision needs exactly one [process.<id>] section")
         adapter = LinuxSignalAdapter()
-        handles = {scenario.processes[0].process_id: adapter.attach(args.pid)}
+        try:
+            handle = adapter.attach(args.pid)
+        except StaleHandleError as exc:  # a process gone before the run is a runtime error
+            raise ScenarioError(str(exc)) from None
+        handles = {scenario.processes[0].process_id: handle}
         pace_seconds = scenario.epoch_duration_ms / 1000.0
     out_dir = _prepare_out(args.out)
 
@@ -178,7 +186,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
                 if returned:
                     raise
                 # Leave the error that stopped the run as the one reported.
-                logger.warning("could not write %s: %s", path, exc)
+                _logger().warning("could not write %s: %s", path, exc)
 
     for report in reports:
         print(
@@ -188,20 +196,29 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _logger():
+    import logging  # set up already: only --verbose and supervise runs log
+
+    return logging.getLogger(__name__)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if args.verbose or args.command == "supervise":
+        import logging
+
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     try:
         return args.func(args)
     except UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (ScenarioError, StaleHandleError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, OSError, ValueError) as exc:

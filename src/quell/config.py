@@ -32,10 +32,12 @@ line reader (``_lean_sections``) into the same raw sections configparser
 gives. Its subset: blank lines, full-line ``#`` or ``;`` comments,
 ``[name]`` headers (no ``[DEFAULT]``, none repeated) and ``key = value``
 lines whose key holds no ``:`` and does not repeat in its section once
-lowercased. No other line starts with whitespace or holds ``#`` or
-``;``, no ``%`` appears anywhere, and every byte is UTF-8. The lean
-reader gives up on any other file, never raising, and configparser
-reads it as before; so the fallback is the only source of parse errors,
+lowercased. No other line starts with whitespace or holds more than one
+``#`` or ``;``. One that follows whitespace starts an inline comment,
+which is dropped; otherwise it is part of the line. No ``%`` appears in
+what is left of a line, and every byte is UTF-8. The lean reader gives
+up on any other file, never raising, and configparser reads it as
+before; so the fallback is the only source of parse errors,
 and each keeps its text and its place in line order.
 """
 
@@ -196,7 +198,7 @@ class _Ini:
     raw values in order: what configparser's ``items(name, raw=True)``
     gives, ``[DEFAULT]`` keys first. ``parser`` is the configparser that
     read the file, or None when the lean reader did; such a file has no
-    ``[DEFAULT]`` and no ``%``, so it needs no defaults and no
+    ``[DEFAULT]`` and no ``%`` in a value, so it needs no defaults and no
     interpolation.
     """
 
@@ -251,7 +253,7 @@ def _check_keys(section: _Section, kind: str) -> None:
     if known.issuperset(section.raw):
         return
     exempt = set()
-    if section.ini.parser is not None:  # a lean-read file has no [DEFAULT] and no %
+    if section.ini.parser is not None:  # a lean-read file has no [DEFAULT] and no % in a value
         exempt.update(section.ini.defaults)
         for value in section.raw.values():
             # configparser's own pattern for a %(name)s reference; its optionxform lowercases
@@ -417,8 +419,6 @@ def _lean_sections(text: str) -> dict[str, dict[str, str]] | None:
     same way, so a file that passes gives what the fallback would; any
     other line gives up on the whole file. Never raises.
     """
-    if "%" in text:
-        return None
     sections: dict[str, dict[str, str]] = {}
     section = None
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
@@ -428,8 +428,18 @@ def _lean_sections(text: str) -> dict[str, dict[str, str]] | None:
         first = line[0]
         if first in "#;":
             continue
-        if first.isspace() or "#" in stripped or ";" in stripped:
-            return None  # a continuation line or an inline comment
+        if first.isspace():
+            return None  # a continuation line
+        if "#" in line or ";" in line:
+            if line.count("#") + line.count(";") > 1:
+                # configparser takes the first prefix after whitespace in a
+                # round-robin scan per prefix, not the first in the line.
+                return None
+            at = line.find("#") if "#" in line else line.find(";")
+            if line[at - 1].isspace():
+                stripped = line[:at].strip()  # an inline comment
+        if "%" in stripped:
+            return None
         if first == "[":
             name = stripped[1:-1]
             if stripped[-1] != "]" or not name or name == "DEFAULT" or name in sections:
@@ -560,7 +570,6 @@ def load_scenario(
 
     if not specs:
         raise ConfigError(f"{path}: no [process.<id>] sections")
-    specs.sort(key=lambda s: s.process_id)
 
     scenario = _build(
         f"{path}:",

@@ -75,6 +75,11 @@ class GroundTruth(Enum):
     BENIGN = "benign"
 
 
+# While the largest value's magnitude times the window size stays below
+# this (a 16th of the largest float), no partial sum inside ``math.fsum``
+# can overflow, so only a stream past it needs each window summed.
+_FSUM_SAFE = 2.0**1020
+
 # Module-level aliases read faster than members through an Enum class.
 _MALICIOUS = Verdict.MALICIOUS
 _BENIGN = Verdict.BENIGN
@@ -178,7 +183,8 @@ class ThresholdSource:
     ``values[e]`` is the measurement at epoch ``e``. The window covers
     up to ``window_size`` values ending at the current epoch; early
     epochs use the shorter prefix. The verdict depends only on values
-    inside the window.
+    inside the window. A stream on which some window's sum overflows
+    is rejected here, not at the epoch that reads it.
     """
 
     window_size: int
@@ -193,6 +199,14 @@ class ThresholdSource:
             raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
         if not all(map(math.isfinite, self.values)):
             raise ValueError("measurement values must be finite")
+        if max(map(abs, self.values), default=0.0) * self.window_size >= _FSUM_SAFE:
+            for epoch in range(1, len(self.values)):
+                try:
+                    math.fsum(self.values[max(0, epoch - self.window_size + 1) : epoch + 1])
+                except OverflowError:
+                    raise ValueError(
+                        f"the measurement window ending at epoch {epoch} sums beyond the float range"
+                    ) from None
 
     def verdict_at(self, epoch: int) -> Verdict:
         if epoch < 0 or epoch >= len(self.values):

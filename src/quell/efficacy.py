@@ -42,6 +42,8 @@ class UnreachableTargetError(Exception):
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """The detector's F1 and FPR after ``measurements`` measurements."""
+
     measurements: int
     f1: float
     fpr: float
@@ -86,6 +88,8 @@ class TargetKind(Enum):
 
 @dataclass(frozen=True)
 class EfficacyTarget:
+    """A detection quality bound: F1 at least, or FPR at most, ``threshold``."""
+
     kind: TargetKind
     threshold: float
 

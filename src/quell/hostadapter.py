@@ -108,6 +108,8 @@ def format_shares(shares: ResourceShares) -> str:
 
 @dataclass
 class CallRecord:
+    """One adapter call as ``calls.csv`` spells it."""
+
     seq: int
     handle: str
     call: str
@@ -119,6 +121,8 @@ class CallRecord:
 
 @dataclass
 class _FakeProcess:
+    """A scripted process: its applied shares and whether it still runs."""
+
     shares: ResourceShares
     alive: bool = True
 

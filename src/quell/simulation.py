@@ -210,6 +210,8 @@ def progress_rate(model: ProgressModel, shares: ResourceShares) -> float:
 
 @dataclass(frozen=True)
 class ProcessSpec:
+    """One simulated process: its id, progress model and verdict source."""
+
     process_id: str
     model: ProgressModel
     source: VerdictSource
@@ -223,6 +225,7 @@ class ProcessSpec:
 class Scenario:
     """Everything a run needs: processes, policies, and epoch framing.
 
+    ``processes`` is held sorted by id, the order both drivers step in.
     ``epochs`` may be smaller than the measurement budget (the run then
     ends before any process becomes terminable) or larger (the tail
     exercises the terminable phase).
@@ -240,7 +243,9 @@ class Scenario:
     response_enabled: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "processes", tuple(self.processes))
+        object.__setattr__(
+            self, "processes", tuple(sorted(self.processes, key=lambda spec: spec.process_id))
+        )
         if not self.processes:
             raise ValueError("a scenario needs at least one process")
         ids = [p.process_id for p in self.processes]
@@ -375,6 +380,8 @@ class Baseline:
 
 @dataclass(frozen=True)
 class SlowdownReport:
+    """One process's progress with and without the response, and the slowdown between."""
+
     process_id: str
     progress_with: float
     progress_without: float
@@ -472,8 +479,7 @@ def run_scenario(scenario: Scenario) -> ScenarioLog:
     the lowest id's. A terminated process has no record after that epoch.
     """
     terminated = _TERMINATED._value_
-    ordered = sorted(scenario.processes, key=lambda spec: spec.process_id)
-    live = [_run_process(spec, scenario) for spec in ordered]
+    live = [_run_process(spec, scenario) for spec in scenario.processes]
     records: list[EpochRecord] = []
     for _ in range(scenario.epochs):
         rows = [next(run) for run in live]

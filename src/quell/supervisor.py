@@ -7,12 +7,12 @@ hands back new ones, which it does exactly when a share moved, so the
 adapter sees one apply call per share-changing epoch and none
 otherwise. A process that disappears on its own, before the poll or
 between the poll and the apply, is recorded as completed and left
-alone. Processes are attached and stepped in id order, as the
-simulator steps them, so a verdict source that runs dry raises the
-simulator's ``ScenarioError`` for the same process. A process is
-finished exactly when its ledger is terminated, and the loop ends once
-every process is finished. An error that stops the run carries the
-report so far.
+alone. Processes are attached and stepped in the id order a
+``Scenario`` holds them in, as the simulator steps them, so a verdict
+source that runs dry raises the simulator's ``ScenarioError`` for the
+same process. A process is finished exactly when its ledger is
+terminated, and the loop ends once every process is finished. An error
+that stops the run carries the report so far.
 
 Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
@@ -22,16 +22,19 @@ delay the ones after it, and nothing sleeps after the last epoch.
 
 from __future__ import annotations
 
-import logging
-import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .actuation import DEFAULT_SHARES, ResourceShares
 from .detectors import SourceExhausted, VerdictSource, next_verdict
-from .hostadapter import HostAdapter, ProcessHandle, StaleHandleError
 from .simulation import Scenario, ScenarioError, respond
 from .threat import LifecycleState, ThreatLedger, mark_completed
+
+if TYPE_CHECKING:
+    import threading
+
+    from .hostadapter import HostAdapter, ProcessHandle
 
 # Not called here: bench/tracing.py wraps these names in this module as well.
 from .actuation import actuate, actuate_reset  # noqa: F401
@@ -41,14 +44,14 @@ __all__ = ["SupervisionReport", "supervise", "SUPERVISION_CSV_HEADER"]
 
 SUPERVISION_CSV_HEADER = ("process", "final_state", "epochs_run", "exit_reason", "cpu", "mem", "net", "fs")
 
-logger = logging.getLogger(__name__)
-
 # A module-level alias reads faster than the enum class attribute in the loop.
 _TERMINATED = LifecycleState.TERMINATED
 
 
 @dataclass(frozen=True)
 class SupervisionReport:
+    """How one supervised process ended: its state, epochs run, exit reason and last shares."""
+
     process_id: str
     final_state: str
     epochs_run: int
@@ -70,6 +73,8 @@ class SupervisionReport:
 
 @dataclass
 class _Supervised:
+    """One process's state while ``supervise`` steps it."""
+
     process_id: str
     source: VerdictSource
     handle: ProcessHandle
@@ -95,9 +100,16 @@ def supervise(
     raised on the way carries the states of the processes attached by
     then on its ``reports`` attribute, as the tuple this would return.
     """
+    # Bound here, not at the top: only a supervised run needs the host
+    # adapters' module or logging, so the other commands start without them.
+    import logging
+
+    from .hostadapter import StaleHandleError
+
+    logger = logging.getLogger(__name__)
     supervised = []
     try:
-        for spec in sorted(scenario.processes, key=lambda spec: spec.process_id):
+        for spec in scenario.processes:
             if handles is not None and spec.process_id in handles:
                 handle = handles[spec.process_id]
             else:

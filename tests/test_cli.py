@@ -255,7 +255,8 @@ class TestSuperviseFake:
                     raise OSError("host refused the limit")
                 return super().apply_shares(handle, shares)
 
-        monkeypatch.setattr(cli, "FakeHostAdapter", RefusingHost)
+        # cmd_supervise imports the host adapters when it runs, so patch their module.
+        monkeypatch.setattr("quell.hostadapter.FakeHostAdapter", RefusingHost)
         return at_failure
 
     @staticmethod
@@ -565,6 +566,15 @@ class TestConfigErrorsBeforeTheRun:
         err = self._simulate(tmp_path, scenario, capsys)
         stream = (tmp_path / "s" / "stream.csv").resolve()
         assert err.startswith(f"error: [detector.d] {stream}:{line}: value must be finite")
+
+    def test_stream_whose_window_sum_overflows(self, tmp_path, capsys):
+        # Every value is finite, but two of them overflow math.fsum's partial sums.
+        ini = THRESHOLD_INI.replace("epochs = 6", "epochs = 4")
+        scenario = _threshold_scenario(tmp_path / "s", ini, values=("1e308",) * 4)
+        err = self._simulate(tmp_path, scenario, capsys)
+        assert err == (
+            "error: [detector.d] the measurement window ending at epoch 1 sums beyond the float range\n"
+        )
 
     def test_non_utf8_scenario_names_its_file(self, tmp_path, capsys):
         scenario = _threshold_scenario(tmp_path / "s")

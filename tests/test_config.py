@@ -260,6 +260,18 @@ class TestCoverage:
         with pytest.raises(ScenarioError, match=r"trace .* covers epochs \[1, 8\)"):
             load_scenario(short_trace_ini)
 
+    def test_the_lowest_short_id_is_named_first(self, tmp_path):
+        (tmp_path / "trace.csv").write_text(
+            "epoch,process,verdict\n" + "".join(f"{e},{p},benign\n" for p in "za" for e in (1, 2))
+        )
+        head = MINIMAL.split("[process.worker]")[0]
+        sections = "".join(
+            f"[process.{pid}]\nbase_rate = 1.0\ndetector = replayed\n\n" for pid in "za"
+        )
+        ini = write_ini(tmp_path, head + sections + "[detector.replayed]\nkind = trace\nfile = trace.csv\n")
+        with pytest.raises(ScenarioError, match=r"^trace for process 'a' covers epochs \[1, 3\)"):
+            load_scenario(ini)
+
     @pytest.mark.parametrize("values, ok", [(4, False), (5, True)])
     def test_threshold_stream_needs_a_value_per_epoch(self, tmp_path, values, ok):
         stream = tmp_path / "stream.csv"

@@ -55,14 +55,20 @@ keys = st.sampled_from(["epochs", "Epochs", "EPOCHS", "base_rate", "Base_Rate", 
 )
 values = st.sampled_from(["", "5", "2.0", "a b", "x=y", "host:port", "[v]"]) | words
 blanks = st.sampled_from(["", " ", "\t", " \t "])
+marks = st.sampled_from("#;")
+# What may end a header or a key line: nothing, or an inline comment, its
+# prefix after whitespace and a % in it harmless. A key line may instead
+# end with one prefix that is not after whitespace and so stays in the value.
+comment_tails = st.sampled_from(["", " # note", "\t; 1% of cpu", " ;", "\x85#x"])
+tails = comment_tails | st.sampled_from([";x", "#y", "5#"])
 
 subset_lines = st.one_of(
     blanks,
-    st.builds(lambda mark, body: mark + body, st.sampled_from("#;"), words),
-    st.builds(lambda name, pad: f"[{name}]{pad}", names, blanks),
+    st.builds(lambda mark, body: mark + body, marks, words | st.just(" 100% sure; #2")),
+    st.builds(lambda name, pad, tail: f"[{name}]{pad}{tail}", names, blanks, comment_tails),
     st.builds(
-        lambda key, left, right, value, pad: f"{key}{left}={right}{value}{pad}",
-        keys, blanks, blanks, values, blanks,
+        lambda key, left, right, value, pad, tail: f"{key}{left}={right}{value}{pad}{tail}",
+        keys, blanks, blanks, values, blanks, tails,
     ),
 )
 # Each is a feature the lean reader must give up on, or a line configparser rejects.
@@ -77,10 +83,10 @@ excluded_lines = st.one_of(
     st.builds(lambda value: f"= {value}", values),
     st.builds(lambda key, value: f"{key}:{value}", keys, values),
     st.builds(lambda key, value: f"a:{key} = {value}", keys, values),
-    st.builds(lambda key, mark: f"{key} = v {mark} note", keys, st.sampled_from("#;")),
-    st.builds(lambda key, mark: f"{key} = v{mark}x", keys, st.sampled_from("#;")),
-    st.builds(lambda name, mark: f"[{name}] {mark} note", names, st.sampled_from("#;")),
-    st.sampled_from(["k = %(epochs)s", "k = 50%%", "k = 5%", "# 100%", "[odd%]"]),
+    st.builds(lambda key, first, second: f"{key} = x{first}y {second}z", keys, marks, marks),
+    st.builds(lambda key, first, second: f"{key} = v {first} a {second} b", keys, marks, marks),
+    st.just("a = x;y ;z #w"),
+    st.sampled_from(["k = %(epochs)s", "k = 50%%", "k = 5%", "k = 5% ; note", "[odd%]", "[odd%] # x"]),
     st.builds(lambda key: f"\ufeff{key} = 1", keys),
 )
 line_ends = st.sampled_from(["\n", "\r\n", "\r"])
@@ -112,15 +118,18 @@ def _subset_key(key: str) -> str:
 @st.composite
 def subset_lists(draw) -> list[str]:
     """Lines inside the subset: each section once, each key once per section after lowercasing."""
-    lines = draw(st.lists(blanks | st.sampled_from(["# note", "; note"]), max_size=1))
+    comments = blanks | st.sampled_from(["# note", "; note", "# 100% sure; #2"])
+    lines = draw(st.lists(comments, max_size=1))
     for name in draw(st.lists(names.filter(lambda n: n != "DEFAULT"), unique=True, max_size=4)):
-        lines.append(f"[{name}]")
+        lines.append(f"[{name}]{draw(comment_tails)}")
         section_keys = st.lists(
             keys.map(_subset_key), unique_by=lambda k: k.rstrip().lower(), max_size=4
         )
         for key in draw(section_keys):
-            lines.append(f"{key}{draw(blanks)}={draw(blanks)}{draw(values)}{draw(blanks)}")
-            lines.extend(draw(st.lists(blanks | st.sampled_from(["# note", "; note"]), max_size=2)))
+            lines.append(
+                f"{key}{draw(blanks)}={draw(blanks)}{draw(values)}{draw(blanks)}{draw(tails)}"
+            )
+            lines.extend(draw(st.lists(comments, max_size=2)))
     return lines
 
 
@@ -162,10 +171,13 @@ def test_a_text_inside_the_subset_is_read_lean(lines):
 @pytest.mark.parametrize(
     "text",
     [
-        "[s]\nk = 1 # note\n",
-        "[s]\nk = 1;x\n",
+        "[s]\na = x;y ;z #w\n",
+        "[s]\nk = 1 ; a # b\n",
+        "[s]\nk = 1;x ;y\n",
+        "[s] ; a ; b\nk = 1\n",
         "[s]\nk = 50%%\n",
-        "# 100% sure\n[s]\nk = 1\n",
+        "[s]\nk = 5% ; note\n",
+        "[s%] # note\nk = 1\n",
         "[DEFAULT]\nk = 1\n[s]\n",
         "[s]\n[s]\n",
         "[s]trailing\n",
@@ -182,6 +194,25 @@ def test_a_text_inside_the_subset_is_read_lean(lines):
 )
 def test_each_excluded_feature_gives_up(text):
     assert config._lean_sections(text) is None
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("[s]\nk = 1 # note\n", {"s": {"k": "1"}}),
+        ("[s]\nk = 1;x\n", {"s": {"k": "1;x"}}),
+        ("[s]\nk = 1\t;x\n", {"s": {"k": "1"}}),
+        ("[s]\nk =;x\n", {"s": {"k": ";x"}}),
+        ("[s]\nk = ;x\n", {"s": {"k": ""}}),
+        ("[s]\nk#1 = 2\n", {"s": {"k#1": "2"}}),
+        ("[s] ; the header's note\nk = 1\n", {"s": {"k": "1"}}),
+        ("# 100% sure; #2\n[s]\nk = 1\n", {"s": {"k": "1"}}),
+        ("[s]\nfloor_cpu = 0.01 ; never starve below 1% CPU\n", {"s": {"floor_cpu": "0.01"}}),
+    ],
+)
+def test_each_admitted_comment_is_read_as_configparser_reads_it(text, expected):
+    assert config._lean_sections(text) == expected
+    assert lean_sections(text) == configparser_sections(text)
 
 
 def test_line_ends_split_as_universal_newlines():
@@ -235,8 +266,8 @@ FLEETS = [f"{name} seed {seed}" for seed in (1, 2) for name in ("sim_fleet", "su
 @pytest.mark.parametrize("name", BUNDLED + FLEETS)
 def test_scenario_is_the_same_on_both_paths(name, fleets, monkeypatch, tmp_path):
     ini = fleets[name] if name in fleets else CONFIGS / name
-    if name in fleets:  # else both sides would be the fallback
-        assert config._lean_sections(ini.read_text(encoding="utf-8")) is not None
+    # Else both sides would be the fallback.
+    assert config._lean_sections(ini.read_text(encoding="utf-8")) is not None
     trace = full_trace(load_scenario(ini), tmp_path / "trace.csv")
     for overrides in ({}, {"seed_override": 7}, {"trace_override": trace}):
         as_read, fallback = both_paths(monkeypatch, ini, **overrides)

@@ -140,6 +140,14 @@ class TestThresholdSource:
         with pytest.raises(ValueError, match="values must be finite"):
             ThresholdSource(2, 5.0, (1.0, bad, 2.0))
 
+    def test_window_sum_overflow_rejected(self):
+        with pytest.raises(ValueError, match="^the measurement window ending at epoch 3 sums"):
+            ThresholdSource(2, 0.0, (1e308, -1e308, 1e308, 1e308))
+
+    def test_huge_values_whose_window_sums_fit_are_kept(self):
+        source = ThresholdSource(2, 0.0, (1e308, -1e308, 1e308, 0.0))
+        assert [source.verdict_at(epoch) for epoch in range(4)] == [M, B, B, M]
+
     @given(
         values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
         window=st.integers(1, 8),

@@ -159,6 +159,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ProcessSpec("", CPU_MODEL, TraceSource((B,)))
 
+    def test_processes_are_held_in_id_order(self):
+        specs = [ProcessSpec(pid, CPU_MODEL, TraceSource((B,), start_epoch=1)) for pid in "zab"]
+        scenario = Scenario(
+            processes=specs,
+            measurement_budget=5,
+            penalty_policy=INC,
+            compensation_policy=INC,
+            actuator=ActuatorPolicy(),
+            epochs=2,
+        )
+        assert [spec.process_id for spec in scenario.processes] == ["a", "b", "z"]
+        assert replace(scenario, epochs=1).processes == scenario.processes
+
 
 class TestRunScenario:
     def test_all_malicious_matches_reference(self):
