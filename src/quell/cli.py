@@ -112,8 +112,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{report.process_id}: slowdown {report.slowdown_pct:.6f}% "
             f"(with {report.progress_with:.6f}, without {report.progress_without:.6f})"
         )
-    if args.verbose:
-        _logger().info("wrote %s and %s", out_dir / "log.csv", out_dir / "slowdown.csv")
+    if args.verbose:  # the only level at which the record shows
+        import logging
+
+        logging.getLogger(__name__).info("wrote %s and %s", out_dir / "log.csv", out_dir / "slowdown.csv")
     return EXIT_OK
 
 
@@ -131,6 +133,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_supervise(args: argparse.Namespace) -> int:
+    import logging
     import signal
     import threading
 
@@ -186,7 +189,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
                 if returned:
                     raise
                 # Leave the error that stopped the run as the one reported.
-                _logger().warning("could not write %s: %s", path, exc)
+                logging.getLogger(__name__).warning("could not write %s: %s", path, exc)
 
     for report in reports:
         print(
@@ -194,12 +197,6 @@ def cmd_supervise(args: argparse.Namespace) -> int:
             + (f" ({report.exit_reason})" if report.exit_reason else "")
         )
     return EXIT_OK
-
-
-def _logger():
-    import logging  # set up already: only --verbose and supervise runs log
-
-    return logging.getLogger(__name__)
 
 
 def main(argv: list[str] | None = None) -> int:
