@@ -191,55 +191,40 @@ _SECTIONS = {
 _NEAR_MISS_CUTOFF = 0.8
 
 
-class _Ini:
-    """A scenario file's sections as raw values, and what reading a value needs of its parser.
+class _Section:
+    """One scenario file section: its name, raw values and the configparser that read them.
 
-    ``sections`` maps each section name, in file order, to its keys and
-    raw values in order: what configparser's ``items(name, raw=True)``
-    gives, ``[DEFAULT]`` keys first. ``parser`` is the configparser that
-    read the file, or None when the lean reader did; such a file has no
+    ``raw`` maps each key to its raw value in order: what configparser's
+    ``items(name, raw=True)`` gives, ``[DEFAULT]`` keys first. ``parser``
+    is None when the lean reader read the file; such a file has no
     ``[DEFAULT]`` and no ``%`` in a value, so it needs no defaults and no
     interpolation.
     """
 
-    __slots__ = ("sections", "defaults", "parser")
+    __slots__ = ("name", "raw", "parser")
 
     def __init__(
-        self, sections: dict[str, dict[str, str]], parser: configparser.ConfigParser | None = None
+        self, name: str, raw: dict[str, str], parser: configparser.ConfigParser | None = None
     ) -> None:
-        self.sections = sections
-        self.defaults = parser.defaults() if parser is not None else {}
+        self.name = name
+        self.raw = raw
         self.parser = parser
 
 
-class _Section:
-    """One section's raw values, ``[DEFAULT]`` keys included, and the file they came from."""
+@functools.lru_cache(maxsize=1024)
+def _near_miss(word: str, known: frozenset) -> str | None:
+    """The word of ``known`` that ``word`` is taken for a typo of, if any.
 
-    __slots__ = ("ini", "name", "raw")
-
-    def __init__(self, ini: _Ini, name: str) -> None:
-        self.ini = ini
-        self.name = name
-        self.raw = ini.sections[name]
-
-
-def _near_miss(word: str, known) -> str | None:
-    """The word of ``known`` that ``word`` is taken for a typo of, if any."""
+    Each pair is looked up once per process: an ignored key usually
+    repeats in every section of its kind (a fleet gives each process the
+    same one), and each ``difflib`` lookup costs about 20 µs.
+    ``get_close_matches`` breaks a tie between equally close words by the
+    word itself, so the order of ``known`` cannot change a match.
+    """
     import difflib  # here, not at the top: the import costs every CLI start 1.5-2 ms
 
     match = difflib.get_close_matches(word, known, n=1, cutoff=_NEAR_MISS_CUTOFF)
     return match[0] if match else None
-
-
-@functools.lru_cache(maxsize=1024)
-def _near_miss_key(key: str, kind: str) -> str | None:
-    """``_near_miss`` of ``key`` among the keys ``kind`` holds, looked up once per process.
-
-    An ignored key usually repeats in every section of its kind (a fleet
-    gives each process the same one), and each ``difflib`` lookup costs
-    about 20 µs.
-    """
-    return _near_miss(key, _KNOWN[kind])
 
 
 def _check_keys(section: _Section, kind: str) -> None:
@@ -253,8 +238,8 @@ def _check_keys(section: _Section, kind: str) -> None:
     if known.issuperset(section.raw):
         return
     exempt = set()
-    if section.ini.parser is not None:  # a lean-read file has no [DEFAULT] and no % in a value
-        exempt.update(section.ini.defaults)
+    if section.parser is not None:  # a lean-read file has no [DEFAULT] and no % in a value
+        exempt.update(section.parser.defaults())
         for value in section.raw.values():
             # configparser's own pattern for a %(name)s reference; its optionxform lowercases
             exempt.update(map(str.lower, re.findall(r"%\(([^)]+)\)s", value)))
@@ -268,19 +253,19 @@ def _check_keys(section: _Section, kind: str) -> None:
                     f"[{section.name}] key {key!r} belongs to kind = {owner}, not {kind}; "
                     f"did you mean kind = {owner}?"
                 )
-        match = _near_miss_key(key, kind)
+        match = _near_miss(key, known)
         if match is not None:
             raise ConfigError(f"[{section.name}] unknown key {key!r}; did you mean {match!r}?")
 
 
-def _check_sections(path: Path, sections: dict[str, dict[str, str]]) -> None:
+def _check_sections(path: Path, sections: dict[str, _Section]) -> None:
     """Reject a section whose kind is a near miss of a known one, or a bare process or detector."""
     for name in sections:
         if name in ("scenario", "policies", "actuator"):
             continue
         if name.startswith((PROCESS_PREFIX, DETECTOR_PREFIX)):
             continue
-        match = _near_miss(name.partition(".")[0], _SECTIONS)
+        match = _near_miss(name.partition(".")[0], frozenset(_SECTIONS))
         if match is not None:
             raise ConfigError(f"{path}: unknown section [{name}]; did you mean {_SECTIONS[match]}?")
 
@@ -294,7 +279,7 @@ def _get(section: _Section, key: str, kind):
         import configparser  # loaded already: only a file the fallback read holds a %
 
         try:
-            raw = section.ini.parser.get(section.name, key)
+            raw = section.parser.get(section.name, key)
         except configparser.InterpolationError as exc:
             raise ConfigError(f"[{section.name}] {key}: {exc}") from None
     raw = raw.strip()
@@ -364,16 +349,16 @@ class _InputFiles:
 
 
 def _detector_source(
-    ini: _Ini,
+    sections: dict[str, _Section],
     detector_name: str,
     process_id: str,
     scenario_seed: int,
     files: _InputFiles,
 ) -> VerdictSource:
     section_name = DETECTOR_PREFIX + detector_name
-    if section_name not in ini.sections:
+    section = sections.get(section_name)
+    if section is None:
         raise ConfigError(f"[{PROCESS_PREFIX}{process_id}] references missing section [{section_name}]")
-    section = _Section(ini, section_name)
     kind = _read(section, _TABLE["detector"])["kind"].value
     _check_keys(section, kind)
     table = _TABLE[kind]
@@ -457,16 +442,17 @@ def _lean_sections(text: str) -> dict[str, dict[str, str]] | None:
     return sections
 
 
-def _read_ini(path: Path, text: str, bad_line: int, bad_byte: str) -> _Ini:
-    """The scenario file's sections: from the lean reader if it can, else from configparser.
+def _read_ini(path: Path, text: str, bad_line: int, bad_byte: str) -> dict[str, _Section]:
+    """The scenario file's sections by name, in file order.
 
+    The lean reader reads the file if it can, else configparser does.
     Only the fallback raises: the parse error, or the bad byte, that
     comes first in line order.
     """
     if not bad_line:
         sections = _lean_sections(text)
         if sections is not None:
-            return _Ini(sections)
+            return {name: _Section(name, raw) for name, raw in sections.items()}
     import configparser  # here, not at the top: a file inside the lean subset never needs it
 
     lines = io.StringIO(text, newline=None).readlines()
@@ -478,7 +464,9 @@ def _read_ini(path: Path, text: str, bad_line: int, bad_byte: str) -> _Ini:
         raise ConfigError(f"{path}: {exc}") from None
     if bad_line:
         raise ConfigError(bad_byte)
-    return _Ini({name: dict(parser.items(name, raw=True)) for name in parser.sections()}, parser)
+    return {
+        name: _Section(name, dict(parser.items(name, raw=True)), parser) for name in parser.sections()
+    }
 
 
 def load_scenario(
@@ -500,13 +488,11 @@ def load_scenario(
         text, bad_line, bad_byte = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    ini = _read_ini(path, text, bad_line, bad_byte)
-
-    sections = ini.sections
+    sections = _read_ini(path, text, bad_line, bad_byte)
     _check_sections(path, sections)
     if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
-    scenario_section = _Section(ini, "scenario")
+    scenario_section = sections["scenario"]
     _check_keys(scenario_section, "scenario")
     scenario_args = _read(scenario_section, _TABLE["scenario"])
     if seed_override is not None:
@@ -516,11 +502,13 @@ def load_scenario(
 
     policies_section = scenario_section
     if "policies" in sections:
-        policies_section = _Section(ini, "policies")
+        policies_section = sections["policies"]
         _check_keys(policies_section, "policies")
+        parser = scenario_section.parser
+        defaults = parser.defaults() if parser is not None else {}
         for key in _TABLE["policies"]:
             # A [DEFAULT] key shows in every section; only a value [scenario] sets itself is stray.
-            if key in scenario_section.raw and scenario_section.raw[key] != ini.defaults.get(key):
+            if key in scenario_section.raw and scenario_section.raw[key] != defaults.get(key):
                 raise ConfigError(
                     f"[scenario] policy key {key!r} is ignored when [policies] exists; "
                     "move it to [policies]"
@@ -529,7 +517,7 @@ def load_scenario(
     compensation_policy = _policy(policies_section, "compensation")
     actuator_args = {}
     if "actuator" in sections:
-        actuator_section = _Section(ini, "actuator")
+        actuator_section = sections["actuator"]
         _check_keys(actuator_section, "actuator")
         actuator_args = _read(actuator_section, _TABLE["actuator"])
     actuator = _build("[actuator]", ActuatorPolicy, **actuator_args)
@@ -546,13 +534,12 @@ def load_scenario(
     files = _InputFiles(path.parent)
     process_table = _TABLE["process"]
     specs: list[ProcessSpec] = []
-    for section_name in sections:
+    for section_name, section in sections.items():
         if not section_name.startswith(PROCESS_PREFIX):
             continue
         process_id = section_name[len(PROCESS_PREFIX):].strip()
         if not process_id:
             raise ConfigError(f"{path}: empty process id in [{section_name}]")
-        section = _Section(ini, section_name)
         _check_keys(section, "process")
         args = _read(section, process_table, _MODEL_KEYS)
         response = {name: args.pop(name) for name in RESOURCES if name in args}
@@ -565,7 +552,7 @@ def load_scenario(
             source: VerdictSource = override_traces[process_id]
         else:
             detector_name = _read(section, process_table, ("detector",))["detector"]
-            source = _detector_source(ini, detector_name, process_id, seed, files)
+            source = _detector_source(sections, detector_name, process_id, seed, files)
         specs.append(ProcessSpec(process_id=process_id, model=model, source=source))
 
     if not specs:

@@ -97,7 +97,11 @@ def split_columns(text: str, header: tuple[str, ...]) -> list[tuple[str, ...]] |
 
     None unless ``text`` is inside the split subset (module docstring)
     and has at least one such row, each with one field per ``header``
-    column. The cells are then those ``read_rows`` yields, unstripped.
+    column. The cells are then those ``read_rows`` yields, unstripped,
+    but for one kind of row: a row of only commas and blanks, such as
+    ``,,``, which ``read_rows`` skips as blank, is kept here as a row of
+    empty cells. No loader's lean path takes an empty epoch cell, so each
+    gives up on such a file and the fallback reads it; the results agree.
     ``text`` must be all UTF-8. Never raises.
     """
     if '"' in text or "\r" in text or "\0" in text:

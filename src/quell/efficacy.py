@@ -57,6 +57,15 @@ class CurvePoint:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _check_points(points: tuple[CurvePoint, ...]) -> None:
+    """Reject fewer than two points, or points out of strictly increasing measurement count."""
+    if len(points) < 2:
+        raise ValueError("a curve needs at least two points")
+    for earlier, later in zip(points, points[1:]):
+        if later.measurements <= earlier.measurements:
+            raise ValueError("measurement counts must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class EfficacyCurve:
     """Quality-versus-measurements curve for one detector.
@@ -72,11 +81,7 @@ class EfficacyCurve:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
-            raise ValueError("a curve needs at least two points")
-        for earlier, later in zip(self.points, self.points[1:]):
-            if later.measurements <= earlier.measurements:
-                raise ValueError("measurement counts must be strictly increasing")
+        _check_points(self.points)
         if not math.isfinite(self.epoch_duration_ms) or self.epoch_duration_ms <= 0.0:
             raise ValueError("epoch duration must be positive")
 
@@ -159,7 +164,8 @@ def budget_to_time(measurement_budget: int, curve: EfficacyCurve) -> float:
 def load_curve_csv(path: str | Path, epoch_duration_ms: float = 100.0) -> EfficacyCurve:
     """Read a curve from CSV with the exact header measurements,f1,fpr.
 
-    The curve is named after the file's stem.
+    The curve is named after the file's stem. An error in the points
+    names the file; one in ``epoch_duration_ms`` does not.
     """
     path = Path(path)
     points = []
@@ -168,4 +174,9 @@ def load_curve_csv(path: str | Path, epoch_duration_ms: float = 100.0) -> Effica
             points.append(CurvePoint(measurements=int(row[0]), f1=float(row[1]), fpr=float(row[2])))
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
-    return EfficacyCurve(tuple(points), detector_name=path.stem, epoch_duration_ms=epoch_duration_ms)
+    points = tuple(points)
+    try:
+        _check_points(points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return EfficacyCurve(points, detector_name=path.stem, epoch_duration_ms=epoch_duration_ms)

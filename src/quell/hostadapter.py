@@ -165,7 +165,9 @@ class FakeHostAdapter:
         return self._lookup(handle).alive
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
-        proc = self._live(handle)
+        proc = self._lookup(handle)
+        if not proc.alive:
+            raise StaleHandleError(f"process {handle.ident!r} already exited")
         self._log.append((handle.ident, "apply_shares", self._format(shares)))
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
@@ -229,14 +231,6 @@ class FakeHostAdapter:
             raise StaleHandleError(f"unknown handle {handle.ident!r}")
         return proc
 
-    def _live(self, handle: ProcessHandle) -> _FakeProcess:
-        proc = self._processes.get(handle.ident)
-        if proc is None:
-            raise StaleHandleError(f"unknown handle {handle.ident!r}")
-        if not proc.alive:
-            raise StaleHandleError(f"process {handle.ident!r} already exited")
-        return proc
-
 
 class _DutyCycler(threading.Thread):
     """Stops and continues one pid so it runs a fraction of each period."""
@@ -274,9 +268,11 @@ class LinuxSignalAdapter:
     """Signal-driven control of real local processes (Linux only).
 
     CPU is the one resource this adapter can limit, via duty-cycling;
-    the other resources are acknowledged as unsupported, so an apply
-    that leaves the CPU share as it was is a no-op. Intended for
-    supervising a single pid from the command line, not for fleets.
+    the other resources are acknowledged as unsupported. The CPU share
+    the host holds is the fraction of the handle's running duty cycler,
+    or 1.0 when none runs (after ``close`` too), and an apply that asks
+    for that share is a no-op. Intended for supervising a single pid
+    from the command line, not for fleets.
     """
 
     PERIOD_MS = 100.0
@@ -287,7 +283,6 @@ class LinuxSignalAdapter:
 
     def __init__(self) -> None:
         self._cyclers: dict[str, _DutyCycler] = {}
-        self._cpu: dict[str, float] = {}
 
     def attach(self, pid: int) -> ProcessHandle:
         """Handle for ``pid``, which must name one process other than quell.
@@ -316,29 +311,29 @@ class LinuxSignalAdapter:
             pass
         if not self._pid_exists(pid):
             raise StaleHandleError(f"no such process: {pid}")
-        handle = ProcessHandle(ident=str(pid))
-        self._cpu[handle.ident] = DEFAULT_SHARES.cpu
-        return handle
+        return ProcessHandle(ident=str(pid))
 
     def poll(self, handle: ProcessHandle) -> bool:
         return self._pid_exists(int(handle.ident))
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
-        pid = self._require_alive(handle)
-        if shares.cpu == self._cpu.get(handle.ident):
+        pid = int(handle.ident)
+        if not self._pid_exists(pid):
+            raise StaleHandleError(f"process {pid} already exited")
+        # The running cycler is the one record of the share the host holds.
+        cycler = self._cyclers.get(handle.ident)
+        if cycler is not None and not cycler.is_alive():
+            cycler = None
+        if shares.cpu == (1.0 if cycler is None else cycler.fraction):
             return self._UNCHANGED
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
+        elif cycler is None:
+            cycler = self._cyclers[handle.ident] = _DutyCycler(pid, self.PERIOD_MS)
+            cycler.fraction = shares.cpu
+            cycler.start()
         else:
-            cycler = self._cyclers.get(handle.ident)
-            if cycler is None or not cycler.is_alive():
-                cycler = _DutyCycler(pid, self.PERIOD_MS)
-                cycler.fraction = shares.cpu
-                self._cyclers[handle.ident] = cycler
-                cycler.start()
-            else:
-                cycler.fraction = shares.cpu
-        self._cpu[handle.ident] = shares.cpu
+            cycler.fraction = shares.cpu
         return self._APPLIED
 
     def terminate(self, handle: ProcessHandle) -> Ack:
@@ -357,12 +352,6 @@ class LinuxSignalAdapter:
     def close(self) -> None:
         for ident in list(self._cyclers):
             self._stop_cycler(ident)
-
-    def _require_alive(self, handle: ProcessHandle) -> int:
-        pid = int(handle.ident)
-        if not self._pid_exists(pid):
-            raise StaleHandleError(f"process {pid} already exited")
-        return pid
 
     def _stop_cycler(self, ident: str) -> None:
         cycler = self._cyclers.pop(ident, None)

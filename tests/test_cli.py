@@ -124,6 +124,30 @@ class TestPlan:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("5,0.5,0.5\n", "a curve needs at least two points"),
+            ("5,0.5,0.5\n5,0.9,0.1\n", "measurement counts must be strictly increasing"),
+        ],
+    )
+    def test_malformed_curve_names_its_file(self, tmp_path, capsys, rows, problem):
+        curve = tmp_path / "bad.csv"
+        curve.write_text("measurements,f1,fpr\n" + rows)
+        code = main(["plan", "--curve", str(curve), "--f1", "0.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {curve}: {problem}\n"
+
+    def test_bad_epoch_duration_names_the_flag_not_the_file(self, tmp_path, capsys):
+        curve = tmp_path / "dip.csv"
+        curve.write_text(DIPPING_CURVE)
+        code = main(["plan", "--curve", str(curve), "--f1", "0.9", "--epoch-ms", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "error: epoch duration must be positive\n"
+
     def test_f1_and_fpr_are_mutually_exclusive(self, configs_dir, capsys):
         with pytest.raises(SystemExit):
             main(
@@ -176,6 +200,22 @@ class TestReplay:
         )
         assert code == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_trace_file(self, tmp_path, configs_dir, capsys):
+        trace = tmp_path / "absent.csv"
+        code = main(
+            [
+                "replay",
+                "--scenario", str(configs_dir / "recovery.ini"),
+                "--trace", str(trace),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot read trace {trace}: [Errno 2] No such file or directory: '{trace}'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_trace_header(self, tmp_path, configs_dir, capsys):
         trace = tmp_path / "bad.csv"
@@ -548,6 +588,12 @@ class TestConfigErrorsBeforeTheRun:
         ini = THRESHOLD_INI.replace("base_rate = 100", line)
         err = self._simulate(tmp_path, _threshold_scenario(tmp_path / "s", ini), capsys)
         assert err.startswith(expected)
+
+    def test_empty_process_id(self, tmp_path, capsys):
+        ini = THRESHOLD_INI.replace("[process.a]", "[process. ]")
+        scenario = _threshold_scenario(tmp_path / "s", ini)
+        err = self._simulate(tmp_path, scenario, capsys)
+        assert err == f"error: {scenario}: empty process id in [process. ]\n"
 
     def test_nan_cutoff(self, tmp_path, capsys):
         ini = THRESHOLD_INI.replace("cutoff = 1.0", "cutoff = nan")

@@ -150,7 +150,7 @@ def test_an_ignored_key_in_every_process_is_looked_up_once(tmp_path, monkeypatch
         return get_close_matches(word, *args, **kwargs)
 
     monkeypatch.setattr(difflib, "get_close_matches", counted)
-    config._near_miss_key.cache_clear()
+    config._near_miss.cache_clear()
     text = "[scenario]\nepochs = 5\nmeasurement_budget = 10\n"
     for index in range(20):
         text += f"\n[process.p{index}]\nbase_rate = 1.0\nnote = x\ndetector = d\n"

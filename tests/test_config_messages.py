@@ -186,6 +186,10 @@ CASES = {
         "[detector.d] {dir}/stream.csv: expected header 'epoch,process,verdict', "
         "got 'epoch,value'",
     ),
+    "zero epoch duration": ("threshold", [("scenario", "epoch_duration_ms", "0")],
+                            "{path}: epoch duration must be positive"),
+    "zero measurements per epoch": ("threshold", [("scenario", "measurements_per_epoch", "0")],
+                                    "{path}: measurements per epoch must be >= 1"),
     "short stream": ("threshold", [("scenario", "epochs", "7")],
                      "measurement stream for process 'a' covers epochs [0, 6) "
                      "but the scenario consumes epochs [1, 7)"),

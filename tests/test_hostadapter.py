@@ -232,6 +232,25 @@ class TestLinuxSignalAdapter:
         finally:
             adapter.close()
 
+    def test_apply_after_close_throttles_again(self, sleeper):
+        # close() stops every duty cycler, so the process runs at the full
+        # share again and the same throttle must start a new cycler.
+        adapter = LinuxSignalAdapter()
+        try:
+            handle = adapter.attach(sleeper.pid)
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            adapter.close()
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            assert adapter._cyclers[handle.ident].is_alive()
+        finally:
+            adapter.close()
+
+    def test_full_share_on_a_handle_attach_never_returned_is_a_noop(self, sleeper):
+        adapter = LinuxSignalAdapter()
+        handle = ProcessHandle(ident=str(sleeper.pid))
+        assert adapter.apply_shares(handle, ResourceShares()).noop is True
+        assert adapter._cyclers == {}
+
     @pytest.fixture
     def sent(self, monkeypatch):
         """Signals ``os.kill`` was asked to send; none reaches a process."""

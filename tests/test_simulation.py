@@ -159,6 +159,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ProcessSpec("", CPU_MODEL, TraceSource((B,)))
 
+    def test_no_processes(self):
+        with pytest.raises(ValueError) as excinfo:
+            Scenario(
+                processes=(),
+                measurement_budget=5,
+                penalty_policy=INC,
+                compensation_policy=INC,
+                actuator=ActuatorPolicy(),
+                epochs=2,
+            )
+        assert str(excinfo.value) == "a scenario needs at least one process"
+
     def test_processes_are_held_in_id_order(self):
         specs = [ProcessSpec(pid, CPU_MODEL, TraceSource((B,), start_epoch=1)) for pid in "zab"]
         scenario = Scenario(
@@ -371,6 +383,11 @@ class TestSlowdown:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
             slowdown(make_log([0.0]), make_log([0.0]), "p")
+
+    def test_run_that_outpaces_its_baseline_is_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            slowdown(make_log([2.0, 2.0]), make_log([1.0, 1.0]), "p")
+        assert str(excinfo.value) == "throttled run outpaced baseline for 'p' (-100.000000000000%)"
 
     def test_reports_cover_every_process(self):
         spec_a = ProcessSpec("a", CPU_MODEL, TraceSource((M, M), start_epoch=1))
