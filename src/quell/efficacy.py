@@ -11,7 +11,7 @@ converts to wall-clock time through the epoch duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -57,15 +57,6 @@ class CurvePoint:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _check_points(points: tuple[CurvePoint, ...]) -> None:
-    """Reject fewer than two points, or points out of strictly increasing measurement count."""
-    if len(points) < 2:
-        raise ValueError("a curve needs at least two points")
-    for earlier, later in zip(points, points[1:]):
-        if later.measurements <= earlier.measurements:
-            raise ValueError("measurement counts must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class EfficacyCurve:
     """Quality-versus-measurements curve for one detector.
@@ -81,7 +72,11 @@ class EfficacyCurve:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        _check_points(self.points)
+        if len(self.points) < 2:
+            raise ValueError("a curve needs at least two points")
+        for earlier, later in zip(self.points, self.points[1:]):
+            if later.measurements <= earlier.measurements:
+                raise ValueError("measurement counts must be strictly increasing")
         if not math.isfinite(self.epoch_duration_ms) or self.epoch_duration_ms <= 0.0:
             raise ValueError("epoch duration must be positive")
 
@@ -174,9 +169,9 @@ def load_curve_csv(path: str | Path, epoch_duration_ms: float = 100.0) -> Effica
             points.append(CurvePoint(measurements=int(row[0]), f1=float(row[1]), fpr=float(row[2])))
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
-    points = tuple(points)
     try:
-        _check_points(points)
+        # At the default epoch duration only the points can be at fault.
+        curve = EfficacyCurve(tuple(points), detector_name=path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return EfficacyCurve(points, detector_name=path.stem, epoch_duration_ms=epoch_duration_ms)
+    return replace(curve, epoch_duration_ms=epoch_duration_ms)
