@@ -29,7 +29,7 @@ _EXPORTING = (
     "supervisor",
     "threat",
 )
-_SUBMODULES = frozenset(_EXPORTING) | {"cli", "csvio"}
+_SUBMODULES = frozenset(_EXPORTING) | {"_value", "cli", "csvio"}
 
 
 def _export() -> list[str]:

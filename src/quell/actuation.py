@@ -25,15 +25,24 @@ outside (0, 1] (NaN and infinities included), and a policy checks its
 step, targets and floors once. ``actuate`` builds only from valid
 shares and policies and re-checks just the floor condition it relies on.
 
-Every share-changing epoch builds new shares, so their constructor is
-written by hand: it validates, then fills the instance dict field by
-field. The frozen dataclass's generated one sets each field through
-``object.__setattr__``, which costs about twice as much. Filling the
-existing dict rather than assigning a new one keeps the instances'
-shared-key dicts. ``__eq__`` is written by hand too: it compares the
-four floats in field order and stops at the first difference, where the
-generated one builds two tuples first; ``dataclass`` still generates the
-field-tuple ``__hash__``, so equal shares hash alike.
+``ActuatorPolicy`` and ``SchedulerModel`` are ``__slots__`` classes
+over ``quell._value.Value``, which gives them, with no code generated at
+import, what the frozen dataclass gave: equality, hashing and a repr
+over their fields, refused assignment and deletion, and pickling. Each
+constructor validates, then stores the fields through
+``object.__setattr__``, as the frozen dataclass's generated one did.
+
+The shares stay a dataclass, because the fake host and the tests copy
+them with ``dataclasses.replace``. Every share-changing epoch builds new
+shares, so their constructor is written by hand: it validates, then
+fills the instance dict field by field, where the generated one sets
+each field through ``object.__setattr__``, which costs about twice as
+much. Filling the existing dict rather than assigning a new one keeps
+the instances' shared-key dicts. ``__eq__`` is written by hand too: it
+compares the four floats in field order and stops at the first
+difference, where the generated one builds two tuples first;
+``dataclass`` still generates the field-tuple ``__hash__``, so equal
+shares hash alike.
 
 ``actuate`` tests for a zero delta first: about half of all steps
 leave the threat index as it was. It computes the move once per call,
@@ -49,6 +58,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
+
+from ._value import Value
 
 __all__ = [
     "RESOURCES",
@@ -123,8 +134,7 @@ class ActuationMode(Enum):
 _ADDITIVE = ActuationMode.ADDITIVE
 
 
-@dataclass(frozen=True)
-class ActuatorPolicy:
+class ActuatorPolicy(Value):
     """How threat-index deltas translate into share movements.
 
     ``throttle_step`` is the per-unit-of-delta movement: an absolute
@@ -133,35 +143,49 @@ class ActuatorPolicy:
     because collapsing memory tends to kill rather than slow a process.
     """
 
-    throttle_step: float = 0.1
-    mode: ActuationMode = ActuationMode.ADDITIVE
-    targets: tuple[str, ...] = ("cpu",)
-    floor_cpu: float = 0.01
-    floor_memory: float = 0.9
-    floor_network: float = 1e-6
-    floor_filesystem: float = 0.01
+    __slots__ = (
+        "throttle_step", "mode", "targets",
+        "floor_cpu", "floor_memory", "floor_network", "floor_filesystem", "_target_floors",
+    )
+    throttle_step: float
+    mode: ActuationMode
+    targets: tuple[str, ...]
+    floor_cpu: float
+    floor_memory: float
+    floor_network: float
+    floor_filesystem: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.throttle_step) or not 0.0 < self.throttle_step < 1.0:
-            raise ValueError(f"throttle_step must lie in (0, 1), got {self.throttle_step!r}")
-        if not self.targets:
+    def __init__(
+        self,
+        throttle_step: float = 0.1,
+        mode: ActuationMode = ActuationMode.ADDITIVE,
+        targets: tuple[str, ...] = ("cpu",),
+        floor_cpu: float = 0.01,
+        floor_memory: float = 0.9,
+        floor_network: float = 1e-6,
+        floor_filesystem: float = 0.01,
+    ) -> None:
+        if not math.isfinite(throttle_step) or not 0.0 < throttle_step < 1.0:
+            raise ValueError(f"throttle_step must lie in (0, 1), got {throttle_step!r}")
+        if not targets:
             raise ValueError("at least one target resource is required")
-        unknown = [t for t in self.targets if t not in RESOURCES]
+        unknown = [t for t in targets if t not in RESOURCES]
         if unknown:
             raise ValueError(f"unknown target resources: {unknown}")
         # Normalize to canonical order with duplicates dropped.
-        seen = set(self.targets)
-        object.__setattr__(self, "targets", tuple(r for r in RESOURCES if r in seen))
-        for name in RESOURCES:
-            floor = getattr(self, f"floor_{name}")
+        seen = set(targets)
+        targets = tuple(r for r in RESOURCES if r in seen)
+        floors = (floor_cpu, floor_memory, floor_network, floor_filesystem)
+        for name, floor in zip(RESOURCES, floors):
             if not math.isfinite(floor) or not 0.0 < floor < 1.0:
                 raise ValueError(f"floor_{name} must lie in (0, 1), got {floor!r}")
+        self._fill(throttle_step, mode, targets, *floors)
         # (index into RESOURCES, floor) per target, for ``actuate``. Not a
         # field, so equality, hashing and repr ignore it.
         object.__setattr__(
             self,
             "_target_floors",
-            tuple((RESOURCES.index(r), self.floor(r)) for r in self.targets),
+            tuple((index, floors[index]) for index, r in enumerate(RESOURCES) if r in seen),
         )
 
     def floor(self, resource: str) -> float:
@@ -216,21 +240,22 @@ def actuate_reset() -> ResourceShares:
     return DEFAULT_SHARES
 
 
-@dataclass(frozen=True)
-class SchedulerModel:
+class SchedulerModel(Value):
     """Proportional-share scheduling period: per-process weights and the
     period length every runnable process shares."""
 
+    __slots__ = ("target_latency_ms", "weights")
     target_latency_ms: float
     weights: Mapping[str, float]
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.target_latency_ms) or self.target_latency_ms <= 0.0:
+    def __init__(self, target_latency_ms: float, weights: Mapping[str, float]) -> None:
+        if not math.isfinite(target_latency_ms) or target_latency_ms <= 0.0:
             raise ValueError("target latency must be positive")
-        object.__setattr__(self, "weights", dict(self.weights))
-        for name, weight in self.weights.items():
+        weights = dict(weights)
+        for name, weight in weights.items():
             if not math.isfinite(weight) or weight <= 0.0:
                 raise ValueError(f"weight for {name!r} must be positive, got {weight!r}")
+        self._fill(target_latency_ms, weights)
 
 
 def cfs_timeslice(model: SchedulerModel) -> dict[str, float]:

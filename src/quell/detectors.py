@@ -37,6 +37,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Union
 
+from ._value import Value
 from .csvio import read_rows, read_text, split_columns
 from .threat import Verdict
 
@@ -115,17 +116,18 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class TraceSource:
+class TraceSource(Value):
     """Recorded verdicts, ordered by epoch starting at ``start_epoch``."""
 
+    __slots__ = ("verdicts", "start_epoch")
     verdicts: tuple[Verdict, ...]
-    start_epoch: int = 0
+    start_epoch: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
-        if self.start_epoch < 0:
+    def __init__(self, verdicts: tuple[Verdict, ...], start_epoch: int = 0) -> None:
+        verdicts = tuple(verdicts)
+        if start_epoch < 0:
             raise ValueError("start epoch must be non-negative")
+        self._fill(verdicts, start_epoch)
 
     @property
     def end_epoch(self) -> int:
@@ -141,6 +143,7 @@ class TraceSource:
         return self.verdicts[index]
 
 
+# A dataclass: tests/test_hot_path.py copies one with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class StochasticSource:
     """Coin-flip detector with a per-epoch malicious probability.
@@ -176,8 +179,7 @@ class StochasticSource:
         return _MALICIOUS if (z ^ (z >> 31)) >> 11 < self._cutoff else _BENIGN
 
 
-@dataclass(frozen=True)
-class ThresholdSource:
+class ThresholdSource(Value):
     """Flags an epoch when the trailing windowed mean exceeds the cutoff.
 
     ``values[e]`` is the measurement at epoch ``e``. The window covers
@@ -187,26 +189,28 @@ class ThresholdSource:
     is rejected here, not at the epoch that reads it.
     """
 
+    __slots__ = ("window_size", "cutoff", "values")
     window_size: int
     cutoff: float
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.window_size < 1:
-            raise ValueError(f"window size must be >= 1, got {self.window_size}")
-        if not math.isfinite(self.cutoff):
-            raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
-        if not all(map(math.isfinite, self.values)):
+    def __init__(self, window_size: int, cutoff: float, values: tuple[float, ...]) -> None:
+        values = tuple(values)
+        if window_size < 1:
+            raise ValueError(f"window size must be >= 1, got {window_size}")
+        if not math.isfinite(cutoff):
+            raise ValueError(f"cutoff must be finite, got {cutoff!r}")
+        if not all(map(math.isfinite, values)):
             raise ValueError("measurement values must be finite")
-        if max(map(abs, self.values), default=0.0) * self.window_size >= _FSUM_SAFE:
-            for epoch in range(1, len(self.values)):
+        if max(map(abs, values), default=0.0) * window_size >= _FSUM_SAFE:
+            for epoch in range(1, len(values)):
                 try:
-                    math.fsum(self.values[max(0, epoch - self.window_size + 1) : epoch + 1])
+                    math.fsum(values[max(0, epoch - window_size + 1) : epoch + 1])
                 except OverflowError:
                     raise ValueError(
                         f"the measurement window ending at epoch {epoch} sums beyond the float range"
                     ) from None
+        self._fill(window_size, cutoff, values)
 
     def verdict_at(self, epoch: int) -> Verdict:
         if epoch < 0 or epoch >= len(self.values):

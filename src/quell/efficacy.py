@@ -11,10 +11,10 @@ converts to wall-clock time through the epoch duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
+from ._value import Value
 from .csvio import read_rows
 
 __all__ = [
@@ -40,25 +40,24 @@ class UnreachableTargetError(Exception):
     """The target is not satisfied anywhere the curve can promise it."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Value):
     """The detector's F1 and FPR after ``measurements`` measurements."""
 
+    __slots__ = ("measurements", "f1", "fpr")
     measurements: int
     f1: float
     fpr: float
 
-    def __post_init__(self) -> None:
-        if self.measurements < 1:
-            raise ValueError(f"measurements must be >= 1, got {self.measurements}")
-        for name in ("f1", "fpr"):
-            value = getattr(self, name)
+    def __init__(self, measurements: int, f1: float, fpr: float) -> None:
+        if measurements < 1:
+            raise ValueError(f"measurements must be >= 1, got {measurements}")
+        for name, value in (("f1", f1), ("fpr", fpr)):
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        self._fill(measurements, f1, fpr)
 
 
-@dataclass(frozen=True)
-class EfficacyCurve:
+class EfficacyCurve(Value):
     """Quality-versus-measurements curve for one detector.
 
     Points must be ordered by strictly increasing measurement count and
@@ -66,19 +65,26 @@ class EfficacyCurve:
     interpolated).
     """
 
+    __slots__ = ("points", "detector_name", "epoch_duration_ms")
     points: tuple[CurvePoint, ...]
-    detector_name: str = "detector"
-    epoch_duration_ms: float = 100.0
+    detector_name: str
+    epoch_duration_ms: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
+    def __init__(
+        self,
+        points: tuple[CurvePoint, ...],
+        detector_name: str = "detector",
+        epoch_duration_ms: float = 100.0,
+    ) -> None:
+        points = tuple(points)
+        if len(points) < 2:
             raise ValueError("a curve needs at least two points")
-        for earlier, later in zip(self.points, self.points[1:]):
+        for earlier, later in zip(points, points[1:]):
             if later.measurements <= earlier.measurements:
                 raise ValueError("measurement counts must be strictly increasing")
-        if not math.isfinite(self.epoch_duration_ms) or self.epoch_duration_ms <= 0.0:
+        if not math.isfinite(epoch_duration_ms) or epoch_duration_ms <= 0.0:
             raise ValueError("epoch duration must be positive")
+        self._fill(points, detector_name, epoch_duration_ms)
 
 
 class TargetKind(Enum):
@@ -86,16 +92,17 @@ class TargetKind(Enum):
     FPR_AT_MOST = "fpr_at_most"
 
 
-@dataclass(frozen=True)
-class EfficacyTarget:
+class EfficacyTarget(Value):
     """A detection quality bound: F1 at least, or FPR at most, ``threshold``."""
 
+    __slots__ = ("kind", "threshold")
     kind: TargetKind
     threshold: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.threshold) or not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
+    def __init__(self, kind: TargetKind, threshold: float) -> None:
+        if not math.isfinite(threshold) or not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
+        self._fill(kind, threshold)
 
 
 def required_measurements(
@@ -174,4 +181,4 @@ def load_curve_csv(path: str | Path, epoch_duration_ms: float = 100.0) -> Effica
         curve = EfficacyCurve(tuple(points), detector_name=path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return replace(curve, epoch_duration_ms=epoch_duration_ms)
+    return EfficacyCurve(curve.points, curve.detector_name, epoch_duration_ms)

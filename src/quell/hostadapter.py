@@ -35,10 +35,11 @@ import io
 import os
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Protocol
 
+from ._value import Value
 from .actuation import DEFAULT_SHARES, RESOURCES, ResourceShares
 from .csvio import quote_cell, write_lines
 
@@ -61,17 +62,19 @@ class StaleHandleError(Exception):
     """The handle's process already exited."""
 
 
-@dataclass(frozen=True)
-class ProcessHandle:
+class ProcessHandle(Value):
     """Opaque reference to one controlled process (its pid, for
     ``LinuxSignalAdapter``). The adapter, not the handle, keeps the
     process's current shares."""
 
+    __slots__ = ("ident",)
     ident: str
 
+    def __init__(self, ident: str) -> None:
+        self._fill(ident)
 
-@dataclass(frozen=True)
-class Ack:
+
+class Ack(Value):
     """Acknowledgment for one adapter call.
 
     ``noop`` marks a call that changed nothing the host controls:
@@ -82,8 +85,12 @@ class Ack:
     were still applied.
     """
 
-    noop: bool = False
-    unsupported: tuple[str, ...] = ()
+    __slots__ = ("noop", "unsupported")
+    noop: bool
+    unsupported: tuple[str, ...]
+
+    def __init__(self, noop: bool = False, unsupported: tuple[str, ...] = ()) -> None:
+        self._fill(noop, unsupported)
 
 
 _DONE = Ack()
@@ -106,25 +113,30 @@ def format_shares(shares: ResourceShares) -> str:
     )
 
 
-@dataclass
-class CallRecord:
+class CallRecord(Value):
     """One adapter call as ``calls.csv`` spells it."""
 
+    __slots__ = ("seq", "handle", "call", "args")
     seq: int
     handle: str
     call: str
     args: str
 
+    def __init__(self, seq: int, handle: str, call: str, args: str) -> None:
+        self._fill(seq, handle, call, args)
+
     def csv_row(self) -> tuple[str, ...]:
         return (str(self.seq), self.handle, self.call, self.args)
 
 
-@dataclass
 class _FakeProcess:
     """A scripted process: its applied shares and whether it still runs."""
 
-    shares: ResourceShares
-    alive: bool = True
+    __slots__ = ("shares", "alive")
+
+    def __init__(self, shares: ResourceShares, alive: bool = True) -> None:
+        self.shares = shares
+        self.alive = alive
 
 
 class FakeHostAdapter:

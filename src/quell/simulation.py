@@ -38,18 +38,27 @@ building its records.
 Determinism: scenarios are pure functions of their configuration and
 seed, and the CSV emission uses fixed 6-decimal formatting, so equal
 scenarios produce byte-identical logs.
+
+The response curves, models, specs, logs and reports are ``__slots__``
+classes over ``quell._value.Value``: a hand-written constructor
+validates and stores the fields, and the base gives, with no code
+generated at import, the frozen dataclass's equality, hashing and repr
+over the fields, refused assignment and deletion, and pickling.
+``Scenario`` stays a dataclass, because ``without_response`` and the
+benchmark's checks copy it with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
+from ._value import Value
 from .actuation import (
     DEFAULT_SHARES,
     RESOURCES,
@@ -114,52 +123,53 @@ class ScenarioError(Exception):
     """A scenario failed at run time (for example, a verdict source ran dry)."""
 
 
-@dataclass(frozen=True)
-class Proportional:
+class Proportional(Value):
     """Progress tracks the resource share one-for-one."""
+
+    __slots__ = ()
 
     def multiplier(self, share: float) -> float:
         return share
 
 
-@dataclass(frozen=True)
-class LinearSaturating:
+class LinearSaturating(Value):
     """Progress is unaffected until the share dips below the demand.
 
     ``cap_fraction`` is the fraction of the full allotment the process
     actually consumes; above it, throttling removes only headroom.
     """
 
+    __slots__ = ("cap_fraction",)
     cap_fraction: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.cap_fraction) or not 0.0 < self.cap_fraction <= 1.0:
-            raise ValueError(f"cap_fraction must lie in (0, 1], got {self.cap_fraction!r}")
+    def __init__(self, cap_fraction: float) -> None:
+        if not math.isfinite(cap_fraction) or not 0.0 < cap_fraction <= 1.0:
+            raise ValueError(f"cap_fraction must lie in (0, 1], got {cap_fraction!r}")
+        self._fill(cap_fraction)
 
     def multiplier(self, share: float) -> float:
         return min(1.0, share / self.cap_fraction)
 
 
-@dataclass(frozen=True)
-class Cliff:
+class Cliff(Value):
     """Progress is unaffected above a threshold and collapses below it.
 
     Models working-set behavior: shrink the allotment past the working
     set and the process thrashes at ``collapsed_multiplier`` speed.
     """
 
+    __slots__ = ("threshold_fraction", "collapsed_multiplier")
     threshold_fraction: float
     collapsed_multiplier: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.threshold_fraction) or not 0.0 < self.threshold_fraction <= 1.0:
+    def __init__(self, threshold_fraction: float, collapsed_multiplier: float) -> None:
+        if not math.isfinite(threshold_fraction) or not 0.0 < threshold_fraction <= 1.0:
+            raise ValueError(f"threshold_fraction must lie in (0, 1], got {threshold_fraction!r}")
+        if not math.isfinite(collapsed_multiplier) or not 0.0 <= collapsed_multiplier <= 1.0:
             raise ValueError(
-                f"threshold_fraction must lie in (0, 1], got {self.threshold_fraction!r}"
+                f"collapsed_multiplier must lie in [0, 1], got {collapsed_multiplier!r}"
             )
-        if not math.isfinite(self.collapsed_multiplier) or not 0.0 <= self.collapsed_multiplier <= 1.0:
-            raise ValueError(
-                f"collapsed_multiplier must lie in [0, 1], got {self.collapsed_multiplier!r}"
-            )
+        self._fill(threshold_fraction, collapsed_multiplier)
 
     def multiplier(self, share: float) -> float:
         return 1.0 if share >= self.threshold_fraction else self.collapsed_multiplier
@@ -173,8 +183,7 @@ class Combiner(Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class ProgressModel:
+class ProgressModel(Value):
     """Work output model for one process.
 
     ``base_rate`` is progress units per epoch at full shares;
@@ -182,17 +191,25 @@ class ProgressModel:
     without a curve do not affect progress.
     """
 
+    __slots__ = ("base_rate", "response", "combiner")
     base_rate: float
-    response: Mapping[str, ResponseCurve] = field(default_factory=dict)
-    combiner: Combiner = Combiner.BOTTLENECK_MIN
+    response: Mapping[str, ResponseCurve]
+    combiner: Combiner
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.base_rate) or self.base_rate <= 0.0:
-            raise ValueError(f"base_rate must be positive, got {self.base_rate!r}")
-        object.__setattr__(self, "response", dict(self.response))
-        unknown = [r for r in self.response if r not in RESOURCES]
+    def __init__(
+        self,
+        base_rate: float,
+        # Copied below, so every model holds a dict of its own.
+        response: Mapping[str, ResponseCurve] = {},
+        combiner: Combiner = Combiner.BOTTLENECK_MIN,
+    ) -> None:
+        if not math.isfinite(base_rate) or base_rate <= 0.0:
+            raise ValueError(f"base_rate must be positive, got {base_rate!r}")
+        response = dict(response)
+        unknown = [r for r in response if r not in RESOURCES]
         if unknown:
             raise ValueError(f"unknown resources in response map: {unknown}")
+        self._fill(base_rate, response, combiner)
 
 
 def progress_rate(model: ProgressModel, shares: ResourceShares) -> float:
@@ -208,17 +225,18 @@ def progress_rate(model: ProgressModel, shares: ResourceShares) -> float:
     return model.base_rate * combined
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
+class ProcessSpec(Value):
     """One simulated process: its id, progress model and verdict source."""
 
+    __slots__ = ("process_id", "model", "source")
     process_id: str
     model: ProgressModel
     source: VerdictSource
 
-    def __post_init__(self) -> None:
-        if not self.process_id:
+    def __init__(self, process_id: str, model: ProgressModel, source: VerdictSource) -> None:
+        if not process_id:
             raise ValueError("process id must be non-empty")
+        self._fill(process_id, model, source)
 
 
 @dataclass(frozen=True)
@@ -302,8 +320,7 @@ class EpochRecord(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class ScenarioLog:
+class ScenarioLog(Value):
     """Per-epoch records for every live process, sorted by epoch then id.
 
     A terminated process stops producing records after its termination
@@ -311,11 +328,17 @@ class ScenarioLog:
 
     The records are indexed by process once per log, on first use.
     ``process_ids``, ``for_process`` and ``total_progress`` read that
-    index, so a report over every process is linear in records.
+    index, so a report over every process is linear in records. The
+    index is a ``cached_property``, kept in the instance ``__dict__``
+    slot.
     """
 
+    __slots__ = ("epochs", "records", "__dict__")
     epochs: int
     records: tuple[EpochRecord, ...]
+
+    def __init__(self, epochs: int, records: tuple[EpochRecord, ...]) -> None:
+        self._fill(epochs, records)
 
     @cached_property
     def _by_process(self) -> dict[str, tuple[EpochRecord, ...]]:
@@ -360,16 +383,19 @@ class ScenarioLog:
         return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(Value):
     """Total progress of every process with the response disabled.
 
     Answers what ``slowdown`` asks of the log of the unthrottled run:
     its ``epochs`` and each process's ``total_progress``.
     """
 
+    __slots__ = ("epochs", "totals")
     epochs: int
     totals: Mapping[str, float]
+
+    def __init__(self, epochs: int, totals: Mapping[str, float]) -> None:
+        self._fill(epochs, totals)
 
     def total_progress(self, process_id: str) -> float:
         total = self.totals.get(process_id)
@@ -378,14 +404,19 @@ class Baseline:
         return total
 
 
-@dataclass(frozen=True)
-class SlowdownReport:
+class SlowdownReport(Value):
     """One process's progress with and without the response, and the slowdown between."""
 
+    __slots__ = ("process_id", "progress_with", "progress_without", "slowdown_pct")
     process_id: str
     progress_with: float
     progress_without: float
     slowdown_pct: float
+
+    def __init__(
+        self, process_id: str, progress_with: float, progress_without: float, slowdown_pct: float
+    ) -> None:
+        self._fill(process_id, progress_with, progress_without, slowdown_pct)
 
     def csv_row(self) -> tuple[str, ...]:
         return (

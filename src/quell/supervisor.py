@@ -48,6 +48,7 @@ SUPERVISION_CSV_HEADER = ("process", "final_state", "epochs_run", "exit_reason",
 _TERMINATED = LifecycleState.TERMINATED
 
 
+# A dataclass: tests/test_supervisor.py copies one with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class SupervisionReport:
     """How one supervised process ended: its state, epochs run, exit reason and last shares."""
@@ -71,16 +72,26 @@ class SupervisionReport:
         )
 
 
-@dataclass
 class _Supervised:
     """One process's state while ``supervise`` steps it."""
 
-    process_id: str
-    source: VerdictSource
-    handle: ProcessHandle
-    ledger: ThreatLedger
-    shares: ResourceShares
-    epochs_run: int = 0
+    __slots__ = ("process_id", "source", "handle", "ledger", "shares", "epochs_run")
+
+    def __init__(
+        self,
+        process_id: str,
+        source: VerdictSource,
+        handle: ProcessHandle,
+        ledger: ThreatLedger,
+        shares: ResourceShares,
+        epochs_run: int = 0,
+    ) -> None:
+        self.process_id = process_id
+        self.source = source
+        self.handle = handle
+        self.ledger = ledger
+        self.shares = shares
+        self.epochs_run = epochs_run
 
 
 def supervise(

@@ -37,14 +37,18 @@ they do not re-check what a ledger already guarantees; ``assess`` is
 the checked form of the same growth rule, for a score that does not
 come from a ledger.
 
-Every stepped epoch builds a ledger, so the constructor is written by
-hand: it validates, then fills the instance dict field by field. The
-frozen dataclass's generated one sets each field through
-``object.__setattr__``, which costs more than twice as much. Filling the
-existing dict rather than assigning a new one keeps the instances'
-shared-key dicts. The per-epoch functions read enum members through
-module-level aliases, because a read through an ``Enum`` class takes
-its metaclass's slow ``__getattr__`` path.
+``AssessmentPolicy`` is a ``__slots__`` class over ``quell._value.Value``,
+which gives it, with no code generated at import, the frozen dataclass's
+equality, hashing and repr over its fields, refused assignment and
+deletion, and pickling. The ledger stays a dataclass, because the tests
+copy ledgers with ``dataclasses.replace``. Every stepped epoch builds a
+ledger, so its constructor is written by hand: it validates, then fills
+the instance dict field by field, where the frozen dataclass's generated
+one sets each field through ``object.__setattr__``, which costs more
+than twice as much. Filling the existing dict rather than assigning a
+new one keeps the instances' shared-key dicts. The per-epoch functions
+read enum members through module-level aliases, because a read through
+an ``Enum`` class takes its metaclass's slow ``__getattr__`` path.
 
 ``step_epoch`` calls ``clamp`` only for a score that is not a float in
 (0, 100], and ``clamp`` tests for a zero first: about half of all steps
@@ -56,6 +60,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+from ._value import Value
 
 __all__ = [
     "SCORE_CEILING",
@@ -128,8 +134,7 @@ def clamp(value: float) -> float:
     return max(0.0, min(float(value), SCORE_CEILING))
 
 
-@dataclass(frozen=True)
-class AssessmentPolicy:
+class AssessmentPolicy(Value):
     """How a penalty or compensation score grows on each matching verdict.
 
     Three families are supported:
@@ -142,16 +147,20 @@ class AssessmentPolicy:
     Results are clamped by the caller (``assess``, ``step_epoch``), not here.
     """
 
-    family: GrowthFamily = GrowthFamily.INCREMENTAL
-    linear_a: float = 1.0
-    linear_b: float = 1.0
+    __slots__ = ("family", "linear_a", "linear_b")
+    family: GrowthFamily
+    linear_a: float
+    linear_b: float
 
-    def __post_init__(self) -> None:
-        if self.family is GrowthFamily.LINEAR:
-            if not (math.isfinite(self.linear_a) and math.isfinite(self.linear_b)):
+    def __init__(
+        self, family: GrowthFamily = _INCREMENTAL, linear_a: float = 1.0, linear_b: float = 1.0
+    ) -> None:
+        if family is _LINEAR:
+            if not (math.isfinite(linear_a) and math.isfinite(linear_b)):
                 raise ValueError("linear growth constants must be finite")
-            if self.linear_a < 1.0 or self.linear_b < 0.0:
+            if linear_a < 1.0 or linear_b < 0.0:
                 raise ValueError("linear growth requires a >= 1 and b >= 0")
+        self._fill(family, linear_a, linear_b)
 
     @classmethod
     def incremental(cls) -> "AssessmentPolicy":
