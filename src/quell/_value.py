@@ -5,7 +5,11 @@ its module is imported, and every CLI start paid that for each class.
 A ``Value`` subclass lists its fields as ``__slots__``, in constructor
 order (a slot whose name starts with ``_`` holds something that is not
 a field), and its hand-written ``__init__`` validates, then stores them
-with ``_fill``. The base gives it what the frozen dataclass gave:
+with ``_fill``. The base keeps each field's slot descriptor ``__set__``
+in ``_setters``, in field order: ``_fill`` stores through them, which
+costs less than ``object.__setattr__`` by name, and a constructor built
+on every epoch unpacks them and calls each once, with no loop. The base
+gives it what the frozen dataclass gave:
 ``==`` and ``hash`` over the tuple of fields (``NotImplemented`` for
 another class), a ``Name(field=value, ...)`` repr, ``AttributeError``
 on assignment or deletion, and pickling and copying, which rebuild the
@@ -24,10 +28,11 @@ class Value:
         # otherwise inherit no fields and compare equal to every instance.
         slots = cls.__dict__["__slots__"]
         cls.__match_args__ = tuple(name for name in slots if not name.startswith("_"))
+        cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__match_args__])
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

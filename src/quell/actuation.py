@@ -25,24 +25,16 @@ outside (0, 1] (NaN and infinities included), and a policy checks its
 step, targets and floors once. ``actuate`` builds only from valid
 shares and policies and re-checks just the floor condition it relies on.
 
-``ActuatorPolicy`` and ``SchedulerModel`` are ``__slots__`` classes
-over ``quell._value.Value``, which gives them, with no code generated at
-import, what the frozen dataclass gave: equality, hashing and a repr
-over their fields, refused assignment and deletion, and pickling. Each
-constructor validates, then stores the fields through
-``object.__setattr__``, as the frozen dataclass's generated one did.
-
-The shares stay a dataclass, because the fake host and the tests copy
-them with ``dataclasses.replace``. Every share-changing epoch builds new
-shares, so their constructor is written by hand: it validates, then
-fills the instance dict field by field, where the generated one sets
-each field through ``object.__setattr__``, which costs about twice as
-much. Filling the existing dict rather than assigning a new one keeps
-the instances' shared-key dicts. ``__eq__`` is written by hand too: it
+``ResourceShares``, ``ActuatorPolicy`` and ``SchedulerModel`` are
+``__slots__`` classes over ``quell._value.Value``, which gives them,
+with no code generated at import, equality, hashing and a repr over
+their fields, refused assignment and deletion, and pickling. Each
+constructor validates, then stores the fields. Every share-changing
+epoch builds new shares, so their constructor calls each field's slot
+setter once instead of looping through ``_fill``. Their ``__eq__``
 compares the four floats in field order and stops at the first
-difference, where the generated one builds two tuples first;
-``dataclass`` still generates the field-tuple ``__hash__``, so equal
-shares hash alike.
+difference, where the base's builds two tuples first; the base's
+field-tuple ``__hash__`` is kept, so equal shares hash alike.
 
 ``actuate`` tests for a zero delta first: about half of all steps
 leave the threat index as it was. It computes the move once per call,
@@ -55,7 +47,6 @@ because a read through an ``Enum`` class takes its metaclass's slow
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -77,14 +68,14 @@ __all__ = [
 RESOURCES = ("cpu", "memory", "network", "filesystem")
 
 
-@dataclass(frozen=True, init=False)
-class ResourceShares:
+class ResourceShares(Value):
     """Fraction of the attach-time allotment per resource, each in (0, 1]."""
 
-    cpu: float = 1.0
-    memory: float = 1.0
-    network: float = 1.0
-    filesystem: float = 1.0
+    __slots__ = RESOURCES  # the fields, in resource order
+    cpu: float
+    memory: float
+    network: float
+    filesystem: float
 
     def __init__(
         self, cpu: float = 1.0, memory: float = 1.0, network: float = 1.0, filesystem: float = 1.0
@@ -101,11 +92,11 @@ class ResourceShares:
             for name, value in zip(RESOURCES, (cpu, memory, network, filesystem)):
                 if not 0.0 < value <= 1.0:
                     raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
-        fields = self.__dict__
-        fields["cpu"] = cpu
-        fields["memory"] = memory
-        fields["network"] = network
-        fields["filesystem"] = filesystem
+        set_cpu, set_memory, set_network, set_filesystem = self._setters
+        set_cpu(self, cpu)
+        set_memory(self, memory)
+        set_network(self, network)
+        set_filesystem(self, filesystem)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
@@ -116,6 +107,9 @@ class ResourceShares:
             and self.network == other.network
             and self.filesystem == other.filesystem
         )
+
+    # A class body that defines ``__eq__`` gets ``__hash__ = None``.
+    __hash__ = Value.__hash__
 
     def get(self, resource: str) -> float:
         if resource not in RESOURCES:
@@ -167,6 +161,8 @@ class ActuatorPolicy(Value):
     ) -> None:
         if not math.isfinite(throttle_step) or not 0.0 < throttle_step < 1.0:
             raise ValueError(f"throttle_step must lie in (0, 1), got {throttle_step!r}")
+        # A tuple first: an iterator would be spent by the checks below.
+        targets = tuple(targets)
         if not targets:
             raise ValueError("at least one target resource is required")
         unknown = [t for t in targets if t not in RESOURCES]

@@ -26,12 +26,15 @@ without the ``csv`` module. Every other file, and any doubt along the
 way, falls back to ``csvio.read_rows`` over the same decoded text,
 which alone reports errors, so the sources and the messages are the
 same on either path.
+
+The three sources are ``__slots__`` classes over ``quell._value.Value``.
+``StochasticSource`` keeps its cutoff in a slot that is not a field, so
+equality, hashing and repr ignore it and a copy rebuilds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from pathlib import Path
@@ -143,9 +146,7 @@ class TraceSource(Value):
         return self.verdicts[index]
 
 
-# A dataclass: tests/test_hot_path.py copies one with ``dataclasses.replace``.
-@dataclass(frozen=True)
-class StochasticSource:
+class StochasticSource(Value):
     """Coin-flip detector with a per-epoch malicious probability.
 
     For a process whose ground truth is an attack the coin comes up
@@ -153,19 +154,27 @@ class StochasticSource:
     the false positive rate. Identical seeds give identical sequences.
     """
 
+    __slots__ = ("true_positive_rate", "false_positive_rate", "ground_truth", "seed", "_cutoff")
     true_positive_rate: float
     false_positive_rate: float
     ground_truth: GroundTruth
     seed: int
 
-    def __post_init__(self) -> None:
-        _check_probability(self.true_positive_rate, "true_positive_rate")
-        _check_probability(self.false_positive_rate, "false_positive_rate")
-        _check_seed(self.seed)
-        if self.ground_truth is GroundTruth.ATTACK:
-            probability = self.true_positive_rate
+    def __init__(
+        self,
+        true_positive_rate: float,
+        false_positive_rate: float,
+        ground_truth: GroundTruth,
+        seed: int,
+    ) -> None:
+        _check_probability(true_positive_rate, "true_positive_rate")
+        _check_probability(false_positive_rate, "false_positive_rate")
+        _check_seed(seed)
+        self._fill(true_positive_rate, false_positive_rate, ground_truth, seed)
+        if ground_truth is GroundTruth.ATTACK:
+            probability = true_positive_rate
         else:
-            probability = self.false_positive_rate
+            probability = false_positive_rate
         # Not a field, so equality, hashing and repr ignore it.
         object.__setattr__(self, "_cutoff", probability * 2.0**53)
 

@@ -35,7 +35,6 @@ import io
 import os
 import signal
 import threading
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -183,7 +182,8 @@ class FakeHostAdapter:
         self._log.append((handle.ident, "apply_shares", self._format(shares)))
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
-            shares = replace(shares, **{r: proc.shares.get(r) for r in self.unsupported})
+            kept, current = self.unsupported, proc.shares
+            shares = ResourceShares(*[(current if r in kept else shares).get(r) for r in RESOURCES])
         if shares == proc.shares:
             return self._unchanged
         proc.shares = shares

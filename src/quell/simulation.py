@@ -44,8 +44,9 @@ classes over ``quell._value.Value``: a hand-written constructor
 validates and stores the fields, and the base gives, with no code
 generated at import, the frozen dataclass's equality, hashing and repr
 over the fields, refused assignment and deletion, and pickling.
-``Scenario`` stays a dataclass, because ``without_response`` and the
-benchmark's checks copy it with ``dataclasses.replace``.
+``Scenario`` alone stays a dataclass, because the benchmark's checks
+copy it with ``dataclasses.replace``; this is the one module that
+imports ``dataclasses``.
 """
 
 from __future__ import annotations

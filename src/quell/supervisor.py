@@ -18,14 +18,17 @@ Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
 ``start + k * pace`` on the monotonic clock, so a slow epoch does not
 delay the ones after it, and nothing sleeps after the last epoch.
+
+Each ``SupervisionReport`` is a ``__slots__`` class over
+``quell._value.Value``, like the ledger and shares it reports on.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._value import Value
 from .actuation import DEFAULT_SHARES, ResourceShares
 from .detectors import SourceExhausted, VerdictSource, next_verdict
 from .simulation import Scenario, ScenarioError, respond
@@ -48,16 +51,25 @@ SUPERVISION_CSV_HEADER = ("process", "final_state", "epochs_run", "exit_reason",
 _TERMINATED = LifecycleState.TERMINATED
 
 
-# A dataclass: tests/test_supervisor.py copies one with ``dataclasses.replace``.
-@dataclass(frozen=True)
-class SupervisionReport:
+class SupervisionReport(Value):
     """How one supervised process ended: its state, epochs run, exit reason and last shares."""
 
+    __slots__ = ("process_id", "final_state", "epochs_run", "exit_reason", "shares")
     process_id: str
     final_state: str
     epochs_run: int
     exit_reason: str | None
     shares: ResourceShares
+
+    def __init__(
+        self,
+        process_id: str,
+        final_state: str,
+        epochs_run: int,
+        exit_reason: str | None,
+        shares: ResourceShares,
+    ) -> None:
+        self._fill(process_id, final_state, epochs_run, exit_reason, shares)
 
     def csv_row(self) -> tuple[str, ...]:
         return (

@@ -37,18 +37,15 @@ they do not re-check what a ledger already guarantees; ``assess`` is
 the checked form of the same growth rule, for a score that does not
 come from a ledger.
 
-``AssessmentPolicy`` is a ``__slots__`` class over ``quell._value.Value``,
-which gives it, with no code generated at import, the frozen dataclass's
-equality, hashing and repr over its fields, refused assignment and
-deletion, and pickling. The ledger stays a dataclass, because the tests
-copy ledgers with ``dataclasses.replace``. Every stepped epoch builds a
-ledger, so its constructor is written by hand: it validates, then fills
-the instance dict field by field, where the frozen dataclass's generated
-one sets each field through ``object.__setattr__``, which costs more
-than twice as much. Filling the existing dict rather than assigning a
-new one keeps the instances' shared-key dicts. The per-epoch functions
-read enum members through module-level aliases, because a read through
-an ``Enum`` class takes its metaclass's slow ``__getattr__`` path.
+``ThreatLedger`` and ``AssessmentPolicy`` are ``__slots__`` classes
+over ``quell._value.Value``, which gives them, with no code generated
+at import, equality, hashing and a repr over their fields, refused
+assignment and deletion, and pickling. Every stepped epoch builds a
+ledger, so its constructor validates, then calls each field's slot
+setter once instead of looping through ``_fill``. The per-epoch
+functions read enum members through module-level aliases, because a
+read through an ``Enum`` class takes its metaclass's slow
+``__getattr__`` path.
 
 ``step_epoch`` calls ``clamp`` only for a score that is not a float in
 (0, 100], and ``clamp`` tests for a zero first: about half of all steps
@@ -58,7 +55,6 @@ are benign verdicts on a normal ledger, whose threat index stays 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from ._value import Value
@@ -214,8 +210,7 @@ def assess(policy: AssessmentPolicy, previous: float, epoch: int) -> float:
     return clamp(policy.grow(previous, epoch))
 
 
-@dataclass(frozen=True, init=False)
-class ThreatLedger:
+class ThreatLedger(Value):
     """Scoring state for one supervised process.
 
     ``epoch`` counts consumed verdicts; ``measurements`` counts detector
@@ -223,13 +218,16 @@ class ThreatLedger:
     measurement per epoch but may diverge when a scenario samples more.
     """
 
-    penalty: float = 0.0
-    compensation: float = 0.0
-    threat_index: float = 0.0
-    state: LifecycleState = _NORMAL
-    epoch: int = 0
-    measurements: int = 0
-    exit_reason: str | None = None
+    __slots__ = (
+        "penalty", "compensation", "threat_index", "state", "epoch", "measurements", "exit_reason",
+    )
+    penalty: float
+    compensation: float
+    threat_index: float
+    state: LifecycleState
+    epoch: int
+    measurements: int
+    exit_reason: str | None
 
     def __init__(
         self,
@@ -255,14 +253,17 @@ class ThreatLedger:
             _check_score(compensation, "compensation")
             _check_score(threat_index, "threat_index")
             raise ValueError("epoch and measurements must be non-negative")
-        fields = self.__dict__
-        fields["penalty"] = penalty
-        fields["compensation"] = compensation
-        fields["threat_index"] = threat_index
-        fields["state"] = state
-        fields["epoch"] = epoch
-        fields["measurements"] = measurements
-        fields["exit_reason"] = exit_reason
+        (
+            set_penalty, set_compensation, set_threat_index, set_state,
+            set_epoch, set_measurements, set_exit_reason,
+        ) = self._setters
+        set_penalty(self, penalty)
+        set_compensation(self, compensation)
+        set_threat_index(self, threat_index)
+        set_state(self, state)
+        set_epoch(self, epoch)
+        set_measurements(self, measurements)
+        set_exit_reason(self, exit_reason)
 
 
 def step_epoch(

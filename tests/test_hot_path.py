@@ -1,22 +1,23 @@
 """The per-epoch fast paths behave exactly like the code they stand for.
 
-``ThreatLedger`` and ``ResourceShares`` have hand-written constructors,
-``ResourceShares`` a hand-written ``__eq__``, ``clamp`` returns early for
-a zero and for a score already in range, ``step_epoch`` calls ``clamp``
-only for a score that is not a float in (0, 100], ``actuate`` computes
-one move per call for all its targets, ``StochasticSource`` compares the
-draw's top 53 bits with a cutoff computed once, the per-epoch functions
-read enum members through module-level aliases, the fake host keeps a
-compact call log and spells its CSV rows as f-strings, and ``log.csv``
-spells each row as one ``%`` format. These tests hold each shortcut to
-the plain form it replaces.
+``clamp`` returns early for a zero and for a score already in range,
+``step_epoch`` calls ``clamp`` only for a score that is not a float in
+(0, 100], ``actuate`` computes one move per call for all its targets,
+``StochasticSource`` compares the draw's top 53 bits with a cutoff
+computed once, the per-epoch functions read enum members through
+module-level aliases, the fake host keeps a compact call log and spells
+its CSV rows as f-strings, and ``log.csv`` spells each row as one ``%``
+format. These tests hold each shortcut to the plain form it replaces.
+The ledger's and the shares' unrolled constructors and the shares'
+early-exit ``__eq__`` are held to the value-type contract in
+``tests/test_value_types.py``.
 """
 
-import dataclasses
+import copy
 import dis
-import inspect
 import io
 import math
+import pickle
 import types
 
 import pytest
@@ -40,113 +41,15 @@ from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
 from quell.threat import AssessmentPolicy, LifecycleState, ThreatLedger, Verdict, clamp, step_epoch
 from reference import float_draw_verdict, share_walk, uniform_draw
 
-# -- hand-written constructors -------------------------------------------------
-
-# Field values in order, and for each field another valid value.
-LEDGER_VALUES = (12.5, 3.0, 9.5, LifecycleState.SUSPICIOUS, 7, 8, None)
-LEDGER_OTHERS = (0.0, 4.0, 100.0, LifecycleState.TERMINATED, 8, 9, "detector")
+# Field values in order, and for each field another valid value; the
+# shares the fake host's log is driven with are built from these.
 SHARES_VALUES = (0.5, 0.9, 0.25, 0.75)
 SHARES_OTHERS = (1.0, 0.5, 1e-6, 0.01)
-CASES = pytest.mark.parametrize(
-    ("cls", "values", "others"),
-    [(ThreatLedger, LEDGER_VALUES, LEDGER_OTHERS), (ResourceShares, SHARES_VALUES, SHARES_OTHERS)],
-    ids=["ledger", "shares"],
-)
-
-
-def field_names(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
-
-
-@pytest.mark.parametrize("cls", [ThreatLedger, ResourceShares])
-def test_signature_matches_the_fields(cls):
-    parameters = list(inspect.signature(cls).parameters.values())
-    assert [(p.name, p.default) for p in parameters] == [
-        (f.name, f.default) for f in dataclasses.fields(cls)
-    ]
-    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
-
-
-@CASES
-def test_positional_and_keyword_construction_agree(cls, values, others):
-    names = field_names(cls)
-    by_position = cls(*values)
-    by_keyword = cls(**dict(zip(names, values)))
-    assert [getattr(by_position, name) for name in names] == list(values)
-    assert [getattr(by_keyword, name) for name in names] == list(values)
-    # The instance dict holds exactly the fields, in field order.
-    assert list(vars(by_position).items()) == list(zip(names, values))
-    assert list(vars(by_keyword).items()) == list(zip(names, values))
-
-
-@CASES
-def test_fields_are_frozen(cls, values, others):
-    value = cls(*values)
-    for name, other in zip(field_names(cls), others):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, other)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(value, name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        value.extra = 1
-
-
-@CASES
-def test_repr_eq_and_hash_are_field_by_field(cls, values, others):
-    names = field_names(cls)
-    value = cls(*values)
-    spelled = ", ".join(f"{name}={field!r}" for name, field in zip(names, values))
-    assert repr(value) == f"{cls.__name__}({spelled})"
-    assert hash(value) == hash(tuple(values))
-    assert value == cls(*values)
-    assert not value != cls(*values)
-    for index in range(len(names)):
-        changed = values[:index] + (others[index],) + values[index + 1 :]
-        assert value != cls(*changed)
-
-
-@CASES
-def test_replace_changes_only_the_named_field(cls, values, others):
-    names = field_names(cls)
-    value = cls(*values)
-    for index, name in enumerate(names):
-        replaced = dataclasses.replace(value, **{name: others[index]})
-        assert type(replaced) is cls
-        assert [getattr(replaced, n) for n in names] == [
-            *values[:index], others[index], *values[index + 1 :]
-        ]
-
-
 share = st.floats(0.0, 1.0, exclude_min=True)
-four_shares = st.lists(share, min_size=4, max_size=4)
 
 
-@given(four_shares, four_shares, st.lists(st.booleans(), min_size=4, max_size=4))
-@example([0.5, 0.9, 0.25, 0.75], [0.5, 0.9, 0.25, 0.5], [False] * 4)
-@example([0.5, 0.9, 0.25, 0.75], [1.0, 1.0, 1.0, 1.0], [True] * 4)
-def test_shares_eq_and_hash_follow_the_field_tuples(first, second, kept):
-    # ``b`` is built separately, taking each field from ``first`` where
-    # ``kept`` says so and from ``second`` elsewhere.
-    a = ResourceShares(*first)
-    b = ResourceShares(*(f if keep else s for f, s, keep in zip(first, second, kept)))
-    same = dataclasses.astuple(a) == dataclasses.astuple(b)
-    assert (a == b) is same
-    assert (a != b) is not same
-    if a == b:
-        assert hash(a) == hash(b)
-
-
-def test_shares_leave_other_classes_to_the_other_operand():
-    assert ResourceShares().__eq__(None) is NotImplemented
-    assert ResourceShares().__eq__((1.0, 1.0, 1.0, 1.0)) is NotImplemented
-    assert ResourceShares() != None  # noqa: E711
-
-
-def test_replace_still_validates():
-    with pytest.raises(ValueError, match=r"penalty must lie in \[0, 100\]"):
-        dataclasses.replace(ThreatLedger(), penalty=-1.0)
-    with pytest.raises(ValueError, match=r"memory share must lie in \(0, 1\]"):
-        dataclasses.replace(ResourceShares(), memory=0.0)
+def share_tuple(shares):
+    return tuple(getattr(shares, resource) for resource in RESOURCES)
 
 
 # -- clamp -------------------------------------------------------------------
@@ -270,8 +173,8 @@ def test_step_epoch_matches_clamping_every_score(
     args = (ledger, verdict, penalty_policy, compensation_policy, measurements + room, new)
     got, got_delta = step_epoch(*args)
     want, want_delta = step_clamping_every_score(*args)
-    assert [spelled(value) for value in vars(got).values()] == [
-        spelled(value) for value in vars(want).values()
+    assert [spelled(value) for value in got._astuple()] == [
+        spelled(value) for value in want._astuple()
     ]
     assert spelled(got_delta) == spelled(want_delta)
 
@@ -308,7 +211,7 @@ def test_actuate_matches_the_per_target_walk(data):
     for delta, want in zip(walk, expected):
         moved = actuation.actuate(shares, delta, policy)
         assert [getattr(moved, r).hex() for r in RESOURCES] == [want[r].hex() for r in RESOURCES]
-        assert (moved is shares) is (dataclasses.astuple(moved) == dataclasses.astuple(shares))
+        assert (moved is shares) is (share_tuple(moved) == share_tuple(shares))
         shares = moved
 
 
@@ -367,7 +270,10 @@ def test_the_cutoff_is_not_a_field():
     second = StochasticSource(0.3, 0.1, GroundTruth.ATTACK, 5)
     assert first == second and hash(first) == hash(second)
     assert "_cutoff" not in repr(first)
-    assert dataclasses.replace(first, ground_truth=GroundTruth.BENIGN)._cutoff == 0.1 * 2.0**53
+    assert StochasticSource(0.3, 0.1, GroundTruth.BENIGN, 5)._cutoff == 0.1 * 2.0**53
+    # Rebuilt, not copied, by pickle and copy.
+    for twin in (pickle.loads(pickle.dumps(first)), copy.copy(first)):
+        assert twin._cutoff == 0.3 * 2.0**53
 
 
 # -- no enum class lookups on the per-epoch path ------------------------------
@@ -488,10 +394,10 @@ class EagerHost:
             raise StaleHandleError(ident)
         self.log(ident, "apply_shares", shares)
         current = self.shares[ident]
-        effective = dataclasses.replace(
-            shares, **{r: getattr(current, r) for r in self.unsupported}
+        effective = ResourceShares(
+            **{r: getattr(current if r in self.unsupported else shares, r) for r in RESOURCES}
         )
-        noop = dataclasses.astuple(effective) == dataclasses.astuple(current)
+        noop = share_tuple(effective) == share_tuple(current)
         self.shares[ident] = effective
         return Ack(noop=noop, unsupported=self.unsupported)
 
@@ -538,7 +444,7 @@ def test_compact_log_matches_the_eager_one(unsupported, script):
     by_value = {}
     for record, shares in zip(calls, eager.requested):
         if shares is not None:
-            assert by_value.setdefault(dataclasses.astuple(shares), record.args) is record.args
+            assert by_value.setdefault(share_tuple(shares), record.args) is record.args
 
 
 @given(st.builds(ResourceShares, *[share for _ in RESOURCES]))

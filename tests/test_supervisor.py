@@ -1,6 +1,5 @@
 """Supervision loop: adapter call sequences and final reports."""
 
-import dataclasses
 import logging
 import random
 import threading
@@ -366,9 +365,12 @@ class TestFailedRunReport:
         after_three = supervise(
             make_scenario([specs[0]], epochs=4, budget=10), FakeHostAdapter()
         )
+        p_report = after_two[1]
         assert failed.value.reports == (
             after_three[0],
-            dataclasses.replace(after_two[1], epochs_run=3),
+            SupervisionReport(
+                p_report.process_id, p_report.final_state, 3, p_report.exit_reason, p_report.shares
+            ),
             after_two[2],
         )
 

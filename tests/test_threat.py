@@ -1,7 +1,6 @@
 """Threat ledger: score arithmetic, clamping, and the lifecycle machine."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -200,7 +199,7 @@ class TestResolveTerminable:
 
     @pytest.mark.parametrize("exit_reason", [None, "earlier"])
     def test_every_field_but_epoch_state_and_exit_is_kept(self, exit_reason):
-        ledger = ThreatLedger(
+        fields = dict(
             penalty=7.5,
             compensation=2.25,
             threat_index=5.25,
@@ -209,12 +208,13 @@ class TestResolveTerminable:
             measurements=12,
             exit_reason=exit_reason,
         )
-        assert resolve_terminable(ledger, Verdict.BENIGN) == replace(ledger, epoch=10)
-        assert resolve_terminable(ledger, Verdict.MALICIOUS) == replace(
-            ledger, epoch=10, state=LifecycleState.TERMINATED, exit_reason="detector"
+        ledger = ThreatLedger(**fields)
+        assert resolve_terminable(ledger, Verdict.BENIGN) == ThreatLedger(**{**fields, "epoch": 10})
+        assert resolve_terminable(ledger, Verdict.MALICIOUS) == ThreatLedger(
+            **{**fields, "epoch": 10, "state": LifecycleState.TERMINATED, "exit_reason": "detector"}
         )
-        assert mark_completed(ledger) == replace(
-            ledger, state=LifecycleState.TERMINATED, exit_reason="completed"
+        assert mark_completed(ledger) == ThreatLedger(
+            **{**fields, "state": LifecycleState.TERMINATED, "exit_reason": "completed"}
         )
 
     def test_wrong_state_rejected(self):

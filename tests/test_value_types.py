@@ -1,6 +1,6 @@
 """The value types built on ``quell._value.Value`` behave as the frozen
-dataclasses they replace, and only the types a caller copies with
-``dataclasses`` stay dataclasses.
+dataclasses they replace, and only ``Scenario``, which a caller copies
+with ``dataclasses``, stays a dataclass.
 
 ``@dataclass`` generates its methods with ``exec`` at import, which every
 CLI start pays; ``Value`` gives the same behaviour from one base.
@@ -13,11 +13,19 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import quell
 from quell._value import Value
-from quell.actuation import RESOURCES, ActuationMode, ActuatorPolicy, SchedulerModel
-from quell.detectors import ThresholdSource, TraceSource
+from quell.actuation import (
+    RESOURCES,
+    ActuationMode,
+    ActuatorPolicy,
+    ResourceShares,
+    SchedulerModel,
+)
+from quell.detectors import GroundTruth, StochasticSource, ThresholdSource, TraceSource
 from quell.efficacy import CurvePoint, EfficacyCurve, EfficacyTarget, TargetKind
 from quell.hostadapter import Ack, CallRecord, ProcessHandle
 from quell.simulation import (
@@ -32,28 +40,21 @@ from quell.simulation import (
     ScenarioLog,
     SlowdownReport,
 )
-from quell.threat import AssessmentPolicy, GrowthFamily, Verdict
+from quell.supervisor import SupervisionReport
+from quell.threat import AssessmentPolicy, GrowthFamily, LifecycleState, ThreatLedger, Verdict
 
 PACKAGE = Path(quell.__file__).parent
 
 # -- which classes are dataclasses ----------------------------------------------
 
-# Each keeps the decorator because a caller copies it with ``dataclasses``;
-# a new value type uses ``Value`` instead.
-DATACLASSES = {
-    # bench/checks.py, Scenario.without_response and tests/test_simulation.py
-    # call dataclasses.replace on it.
-    ("simulation.py", "Scenario"),
-    # tests/test_hot_path.py and tests/test_threat.py use fields, replace,
-    # astuple and FrozenInstanceError.
-    ("threat.py", "ThreatLedger"),
-    # The same tests, and FakeHostAdapter.apply_shares's replace(shares, ...).
-    ("actuation.py", "ResourceShares"),
-    # tests/test_hot_path.py replaces its ground truth.
-    ("detectors.py", "StochasticSource"),
-    # tests/test_supervisor.py replaces its epochs_run.
-    ("supervisor.py", "SupervisionReport"),
-}
+# ``bench/checks.py`` copies a ``Scenario`` with ``dataclasses.replace``,
+# so it keeps the decorator; every other value type uses ``Value``.
+DATACLASSES = {("simulation.py", "Scenario")}
+
+
+def parsed_modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def is_dataclass_decorator(node: ast.expr) -> bool:
@@ -65,11 +66,24 @@ def is_dataclass_decorator(node: ast.expr) -> bool:
 
 def test_only_the_copied_types_are_dataclasses():
     decorated = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list)):
-                decorated.add((path.name, node.name))
+                decorated.add((name, node.name))
     assert decorated == DATACLASSES
+
+
+def imports_dataclasses(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+
+
+def test_only_the_scenario_module_imports_dataclasses():
+    importing = {
+        name for name, tree in parsed_modules() if any(map(imports_dataclasses, ast.walk(tree)))
+    }
+    assert importing == {name for name, _ in DATACLASSES}
 
 
 # -- the converted types ----------------------------------------------------------
@@ -79,6 +93,10 @@ OTHER_POINTS = (CurvePoint(2, 0.6, 0.4), CurvePoint(5, 0.7, 0.2), CurvePoint(9, 
 RECORD = EpochRecord(1, "p", "benign", 0.0, 1.0, 0.0, "normal", 1.0, 1.0, 1.0, 1.0, 2.0, 4.0)
 
 # Field values in order, and for each field another valid value.
+LEDGER_VALUES = (12.5, 3.0, 9.5, LifecycleState.SUSPICIOUS, 7, 8, None)
+LEDGER_OTHERS = (0.0, 4.0, 100.0, LifecycleState.TERMINATED, 8, 9, "detector")
+SHARES_VALUES = (0.5, 0.9, 0.25, 0.75)
+SHARES_OTHERS = (1.0, 0.5, 1e-6, 0.01)
 SAMPLES = {
     ActuatorPolicy: (
         (0.2, ActuationMode.MULTIPLICATIVE, ("cpu", "network"), 0.05, 0.8, 1e-5, 0.02),
@@ -108,6 +126,16 @@ SAMPLES = {
     ProcessHandle: (("42",), ("43",)),
     Ack: ((True, ("memory",)), (False, ())),
     CallRecord: ((3, "p", "apply_shares", "cpu=0.5"), (4, "q", "terminate", "")),
+    ThreatLedger: (LEDGER_VALUES, LEDGER_OTHERS),
+    ResourceShares: (SHARES_VALUES, SHARES_OTHERS),
+    StochasticSource: (
+        (0.9, 0.1, GroundTruth.ATTACK, 5),
+        (0.8, 0.2, GroundTruth.BENIGN, 2**64 - 1),
+    ),
+    SupervisionReport: (
+        ("p", "terminated", 5, "detector", ResourceShares(0.5)),
+        ("q", "normal", 6, None, ResourceShares()),
+    ),
 }
 CASES = pytest.mark.parametrize(
     ("cls", "values", "others"),
@@ -194,6 +222,69 @@ def test_pickle_and_copy_round_trip(cls, values, others):
         assert repr(twin) == repr(value)
 
 
+@CASES
+def test_a_copy_with_one_field_changed_keeps_the_others(cls, values, others):
+    names = field_names(cls)
+    value = cls(*values)
+    for index, name in enumerate(names):
+        changed = cls(**{**dict(zip(names, value._astuple())), name: others[index]})
+        assert type(changed) is cls
+        assert changed._astuple() == (*values[:index], others[index], *values[index + 1 :])
+
+
+# -- the ledger and the shares, built on every epoch ------------------------------
+
+@pytest.mark.parametrize(
+    ("cls", "defaults"),
+    [
+        (ThreatLedger, (0.0, 0.0, 0.0, LifecycleState.NORMAL, 0, 0, None)),
+        (ResourceShares, (1.0, 1.0, 1.0, 1.0)),
+    ],
+    ids=["ledger", "shares"],
+)
+def test_every_field_has_its_default(cls, defaults):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(p.default for p in parameters) == defaults
+    assert cls()._astuple() == defaults
+
+
+def test_a_copy_through_the_constructor_still_validates():
+    for cls, name, bad, message in [
+        (ThreatLedger, "penalty", -1.0, r"penalty must lie in \[0, 100\]"),
+        (ResourceShares, "memory", 0.0, r"memory share must lie in \(0, 1\]"),
+    ]:
+        fields = dict(zip(field_names(cls), cls()._astuple()))
+        with pytest.raises(ValueError, match=message):
+            cls(**{**fields, name: bad})
+
+
+share = st.floats(0.0, 1.0, exclude_min=True)
+four_shares = st.lists(share, min_size=4, max_size=4)
+
+
+@given(four_shares, four_shares, st.lists(st.booleans(), min_size=4, max_size=4))
+@example([0.5, 0.9, 0.25, 0.75], [0.5, 0.9, 0.25, 0.5], [False] * 4)
+@example([0.5, 0.9, 0.25, 0.75], [1.0, 1.0, 1.0, 1.0], [True] * 4)
+def test_shares_eq_and_hash_follow_the_field_tuples(first, second, kept):
+    # ``b`` is built separately, taking each field from ``first`` where
+    # ``kept`` says so and from ``second`` elsewhere.
+    a = ResourceShares(*first)
+    b = ResourceShares(*(f if keep else s for f, s, keep in zip(first, second, kept)))
+    same = a._astuple() == b._astuple()
+    assert (a == b) is same
+    assert (a != b) is not same
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_shares_leave_other_classes_to_the_other_operand():
+    shares = ResourceShares()
+    assert shares.__eq__(None) is NotImplemented
+    assert shares.__eq__(shares._astuple()) is NotImplemented
+    assert shares != shares._astuple()
+    assert shares != None  # noqa: E711
+
+
 # -- what is not a field ------------------------------------------------------
 
 def test_the_target_floors_are_not_a_field():
@@ -211,6 +302,14 @@ def test_targets_are_held_in_resource_order_once():
     assert policy.targets == ("cpu", "filesystem")
     assert policy == ActuatorPolicy(targets=("cpu", "filesystem"))
     assert [RESOURCES[index] for index, _ in policy._target_floors] == ["cpu", "filesystem"]
+
+
+def test_targets_may_come_from_any_iterable():
+    targets = ("network", "cpu")
+    assert ActuatorPolicy(targets=iter(targets)) == ActuatorPolicy(targets=targets)
+    assert ActuatorPolicy(targets=iter(("cpu",)))._target_floors == ((0, 0.01),)
+    with pytest.raises(ValueError, match="at least one target resource is required"):
+        ActuatorPolicy(targets=iter(()))
 
 
 def test_each_default_response_is_a_fresh_dict():
