@@ -31,7 +31,7 @@ with no code generated at import, equality, hashing and a repr over
 their fields, refused assignment and deletion, and pickling. Each
 constructor validates, then stores the fields. Every share-changing
 epoch builds new shares, so their constructor calls each field's slot
-setter once instead of looping through ``_fill``. Their ``__eq__``
+setter once instead of looping through ``_fill``. The shares' ``__eq__``
 compares the four floats in field order and stops at the first
 difference, where the base's builds two tuples first; the base's
 field-tuple ``__hash__`` is kept, so equal shares hash alike.
