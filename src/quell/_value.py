@@ -15,9 +15,20 @@ another class), a ``Name(field=value, ...)`` repr, ``AttributeError``
 on assignment or deletion, and pickling and copying, which rebuild the
 value through its constructor. The fields are also its
 ``__match_args__``.
+
+A field that holds a mapping holds a read-only ``MappingProxyType``
+over the constructor's own copy, so a validated value stays valid. The
+repr shows it as the dict it wraps, and pickling and copying pass that
+dict to the constructor, because a ``mappingproxy`` does not pickle.
 """
 
+from types import MappingProxyType
+
 __all__ = ["Value"]
+
+
+def _plain(field):
+    return dict(field) if field.__class__ is MappingProxyType else field
 
 
 class Value:
@@ -46,7 +57,7 @@ class Value:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{name}={_plain(getattr(self, name))!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -56,4 +67,4 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._astuple()
+        return self.__class__, tuple([_plain(field) for field in self._astuple()])

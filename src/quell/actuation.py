@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from ._value import Value
@@ -251,7 +252,7 @@ class SchedulerModel(Value):
         for name, weight in weights.items():
             if not math.isfinite(weight) or weight <= 0.0:
                 raise ValueError(f"weight for {name!r} must be positive, got {weight!r}")
-        self._fill(target_latency_ms, weights)
+        self._fill(target_latency_ms, MappingProxyType(weights))
 
 
 def cfs_timeslice(model: SchedulerModel) -> dict[str, float]:

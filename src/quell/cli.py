@@ -10,13 +10,24 @@ diagnostics go to stderr.
 Only ``supervise`` loads the host adapters, ``signal`` and
 ``threading``, and only it and ``--verbose`` runs set up ``logging``:
 no other run emits a record at the level that shows.
+
+``main`` reads a well-formed command line without argparse: a lean
+reader takes leading ``--verbose`` tokens, an exact subcommand name,
+and that subcommand's exact option strings, each at most once and each
+value not starting with ``-``, converted with the ``int`` or ``float``
+argparse would call. It fills the namespace argparse would. Anything
+else, help included, it declines, and ``main`` falls back to
+``build_parser().parse_args``, so argparse alone prints every help
+text, usage message and error, and a successful start never imports
+``argparse`` (or the ``locale`` its first message loads).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, load_scenario
 from .csvio import write_rows
@@ -37,6 +48,9 @@ from .simulation import (
 )
 from .supervisor import SUPERVISION_CSV_HEADER, supervise
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
@@ -44,6 +58,8 @@ EXIT_UNREACHABLE = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quell",
         description="Throttle-first post-detection response: simulate, plan, replay, supervise.",
@@ -199,9 +215,99 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# What the lean reader accepts of each subcommand, as build_parser adds it:
+# each option string's dest and value type (None for a flag), the options
+# it requires, its required exclusive group (one option of it, exactly),
+# the defaults argparse sets for the dests not given, and its handler.
+_GRAMMAR = {
+    "simulate": (
+        {"--scenario": ("scenario", str), "--out": ("out", str), "--seed": ("seed", int)},
+        ("--scenario", "--out"),
+        (),
+        {"seed": None, "trace": None},
+        cmd_simulate,
+    ),
+    "plan": (
+        {
+            "--curve": ("curve", str),
+            "--f1": ("f1", float),
+            "--fpr": ("fpr", float),
+            "--epoch-ms": ("epoch_ms", float),
+            "--first-crossing": ("first_crossing", None),
+        },
+        ("--curve",),
+        ("--f1", "--fpr"),
+        {"f1": None, "fpr": None, "epoch_ms": 100.0, "first_crossing": False},
+        cmd_plan,
+    ),
+    "replay": (
+        {
+            "--scenario": ("scenario", str),
+            "--trace": ("trace", str),
+            "--out": ("out", str),
+            "--seed": ("seed", int),
+        },
+        ("--scenario", "--trace", "--out"),
+        (),
+        {"seed": None},
+        cmd_simulate,
+    ),
+    "supervise": (
+        {
+            "--scenario": ("scenario", str),
+            "--out": ("out", str),
+            "--seed": ("seed", int),
+            "--fake-adapter": ("fake_adapter", None),
+            "--pid": ("pid", int),
+        },
+        ("--scenario", "--out"),
+        ("--fake-adapter", "--pid"),
+        {"seed": None, "fake_adapter": False, "pid": None},
+        cmd_supervise,
+    ),
+}
+
+
+def _lean_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, or None to leave it to argparse."""
+    start = 0
+    while start < len(argv) and argv[start] == "--verbose":
+        start += 1
+    if start == len(argv) or argv[start] not in _GRAMMAR:
+        return None
+    command = argv[start]
+    options, required, exclusive, defaults, handler = _GRAMMAR[command]
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[start + 1:])
+    for option in tokens:
+        if option not in options or option in seen:
+            return None
+        seen.add(option)
+        dest, kind = options[option]
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as a dash one is
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    if not seen.issuperset(required):
+        return None
+    if exclusive and len(seen.intersection(exclusive)) != 1:
+        return None
+    return SimpleNamespace(verbose=start > 0, command=command, func=handler, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _lean_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.verbose or args.command == "supervise":
         import logging
 

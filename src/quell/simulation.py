@@ -57,6 +57,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from ._value import Value
@@ -200,7 +201,7 @@ class ProgressModel(Value):
     def __init__(
         self,
         base_rate: float,
-        # Copied below, so every model holds a dict of its own.
+        # Copied below, so every model holds a map of its own.
         response: Mapping[str, ResponseCurve] = {},
         combiner: Combiner = Combiner.BOTTLENECK_MIN,
     ) -> None:
@@ -210,7 +211,7 @@ class ProgressModel(Value):
         unknown = [r for r in response if r not in RESOURCES]
         if unknown:
             raise ValueError(f"unknown resources in response map: {unknown}")
-        self._fill(base_rate, response, combiner)
+        self._fill(base_rate, MappingProxyType(response), combiner)
 
 
 def progress_rate(model: ProgressModel, shares: ResourceShares) -> float:
@@ -396,7 +397,7 @@ class Baseline(Value):
     totals: Mapping[str, float]
 
     def __init__(self, epochs: int, totals: Mapping[str, float]) -> None:
-        self._fill(epochs, totals)
+        self._fill(epochs, MappingProxyType(dict(totals)))
 
     def total_progress(self, process_id: str) -> float:
         total = self.totals.get(process_id)

@@ -6,8 +6,9 @@ process; otherwise the shares go to the adapter only when ``respond``
 hands back new ones, which it does exactly when a share moved, so the
 adapter sees one apply call per share-changing epoch and none
 otherwise. A process that disappears on its own, before the poll or
-between the poll and the apply, is recorded as completed and left
-alone. Processes are attached and stepped in the id order a
+between the poll and the apply or the terminate, is recorded as
+completed and left alone: a terminate the host acknowledges as a no-op
+killed nothing. Processes are attached and stepped in the id order a
 ``Scenario`` holds them in, as the simulator steps them, so a verdict
 source that runs dry raises the simulator's ``ScenarioError`` for the
 same process. A process is finished exactly when its ledger is
@@ -162,10 +163,14 @@ def supervise(
                     verdict = next_verdict(state.source, epoch)
                 except SourceExhausted as exc:
                     raise ScenarioError(f"process {state.process_id!r}: {exc}") from exc
-                ledger, shares = respond(state.ledger, state.shares, verdict, scenario)
+                previous = state.ledger
+                ledger, shares = respond(previous, state.shares, verdict, scenario)
                 state.ledger = ledger
                 if ledger.state is _TERMINATED:
-                    adapter.terminate(state.handle)
+                    if adapter.terminate(state.handle).noop:
+                        # Gone before the kill landed: it exited on its own.
+                        state.ledger = mark_completed(previous)
+                        logger.info("%s exited before its terminate at epoch %d", state.process_id, epoch)
                 elif shares is not state.shares:
                     try:
                         ack = adapter.apply_shares(state.handle, shares)

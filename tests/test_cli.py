@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,17 +148,6 @@ class TestPlan:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.err == "error: epoch duration must be positive\n"
-
-    def test_f1_and_fpr_are_mutually_exclusive(self, configs_dir, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "plan",
-                    "--curve", str(configs_dir / "curve_boosted_trees.csv"),
-                    "--f1", "0.9",
-                    "--fpr", "0.1",
-                ]
-            )
 
 
 class TestReplay:
@@ -511,20 +501,77 @@ class TestSupervisePid:
         assert not out.exists()
 
 
-class TestArgumentErrors:
-    def test_no_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main([])
+CONFIGS = Path(__file__).parent.parent / "configs"
+CURVE = str(CONFIGS / "curve_boosted_trees.csv")
+SUPERVISED = str(CONFIGS / "supervised_attack.ini")
 
-    def test_adapter_choice_is_required(self, configs_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "supervise",
-                    "--scenario", str(configs_dir / "supervised_attack.ini"),
-                    "--out", str(tmp_path),
-                ]
-            )
+
+TOP_USAGE = "usage: quell [-h] [--verbose] {simulate,plan,replay,supervise} ...\n"
+
+
+class TestArgumentErrors:
+    """Every help text, usage message and argument error is argparse's own, byte for byte.
+
+    Each case also gives the exit code and, for an error, the start of
+    its last line: with the usage line, the parts that read the same on
+    every supported Python. Help goes to stdout, errors to stderr.
+    """
+
+    @staticmethod
+    def exit_and_output(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        return (exit_info.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        ("argv", "code", "last_line"),
+        [
+            (["--help"], 0, ""),
+            (["simulate", "--help"], 0, ""),
+            (["plan", "--help"], 0, ""),
+            (["replay", "--help"], 0, ""),
+            (["supervise", "--help"], 0, ""),
+            (
+                ["simulate", "--scenario", "s.ini"], 2,
+                "quell simulate: error: the following arguments are required: --out",
+            ),
+            (
+                ["plan", "--curve", CURVE, "--f1", "0.9", "--fpr", "0.1"], 2,
+                "quell plan: error: argument --fpr: not allowed with argument --f1",
+            ),
+            (
+                ["supervise", "--scenario", SUPERVISED, "--out", "out"], 2,
+                "quell supervise: error: one of the arguments --fake-adapter --pid is required",
+            ),
+            (["nope"], 2, "quell: error: argument command: invalid choice: 'nope'"),
+            ([], 2, "quell: error: the following arguments are required: command"),
+        ],
+        ids=[
+            "quell help", "simulate help", "plan help", "replay help", "supervise help",
+            "missing required option", "f1 with fpr", "supervise without an adapter",
+            "unknown subcommand", "no subcommand",
+        ],
+    )
+    def test_argparse_prints_every_text(self, argv, code, last_line, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its help to
+        printed = self.exit_and_output(main, argv, capsys)
+        assert printed == self.exit_and_output(cli.build_parser().parse_args, argv, capsys)
+        exit_code, out, err = printed
+        text, other = (out, err) if code == 0 else (err, out)
+        assert (exit_code, other) == (code, "")
+        command = next((arg for arg in argv if arg in ("simulate", "plan", "replay", "supervise")), None)
+        assert text.startswith(f"usage: quell {command} [-h] " if command else TOP_USAGE)
+        assert text.splitlines()[-1].startswith(last_line)
+
+    def test_main_without_argv_reads_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["quell", "plan", "--curve", CURVE, "--f1", "0.9"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out.startswith("required measurements: 23\n")
+        monkeypatch.setattr(sys, "argv", ["quell", "plan", "--help"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quell plan [-h] ")
 
 
 class TestCoverageUpFront:

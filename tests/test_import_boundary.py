@@ -59,6 +59,15 @@ def test_no_module_imports_difflib_at_module_level():
     assert importers == []
 
 
+def test_no_module_imports_argparse_at_module_level():
+    # Its import, and the locale its first message loads, cost every CLI start
+    # about 3 ms; only help and argument errors need it.
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if "argparse" in top_level_imports(path)
+    )
+    assert importers == []
+
+
 def test_the_fleets_load_without_configparser(tmp_path, monkeypatch):
     # Both benchmark fleets are inside the lean INI reader's subset; if either
     # fell back to configparser, their scenario load would pay its parse again.
@@ -175,6 +184,30 @@ def test_supervise_loads_the_host_and_still_runs(tmp_path):
     assert result.stdout == "attack: terminated after epoch 16 (detector)\n"
     assert {"quell.hostadapter", "signal", "logging"} <= loaded
     assert (tmp_path / "out" / "calls.csv").exists()
+
+
+SUPERVISE_FAKE = [
+    "supervise", "--scenario", str(CONFIGS / "supervised_attack.ini"), "--out", "out", "--fake-adapter",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [README_COMMANDS["plan"], README_COMMANDS["simulate"], SUPERVISE_FAKE],
+    ids=["plan", "simulate", "supervise"],
+)
+def test_a_successful_start_loads_no_argparse_or_locale(args, tmp_path):
+    result, loaded = run_fresh(["-m", "quell.cli", *args], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "quell.efficacy" in loaded  # the run's imports were seen
+    assert loaded & {"argparse", "gettext", "locale"} == set()
+
+
+def test_help_still_loads_argparse(tmp_path):
+    result, loaded = run_fresh(["-m", "quell.cli", "--help"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: quell ")
+    assert "argparse" in loaded
 
 
 def test_supervise_of_a_vanished_pid_still_exits_3(tmp_path):

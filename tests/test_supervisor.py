@@ -201,6 +201,24 @@ class TestLifecycleEdges:
             "0.900000", "0.700000", "0.400000", "0.010000",
         ]
 
+    def test_exit_between_poll_and_terminate_is_completed(self):
+        class ExitsBeforeTheKill(FakeHostAdapter):
+            """The process exits just before its terminate lands."""
+
+            def terminate(self, handle):
+                self.script_natural_exit(handle)
+                return super().terminate(handle)
+
+        adapter = ExitsBeforeTheKill()
+        scenario = make_scenario([cpu_spec("attack", [M] * 16)], epochs=17, budget=15)
+        (report,) = supervise(scenario, adapter)
+        # The host acknowledged a no-op and logged no kill: nothing was terminated by us.
+        assert "terminate" not in [c.call for c in adapter.calls]
+        assert (report.final_state, report.exit_reason, report.epochs_run) == (
+            "terminated", "completed", 16,
+        )
+        assert f"{report.shares.cpu:.6f}" == "0.010000"
+
 
 class EpochStampedHost(FakeHostAdapter):
     """Fake host that notes the epoch of every apply and terminate call.

@@ -11,6 +11,7 @@ import copy
 import inspect
 import pickle
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given
@@ -202,8 +203,9 @@ def test_repr_eq_and_hash_are_field_by_field(cls, values, others):
     value = cls(*values)
     spelled = ", ".join(f"{name}={field!r}" for name, field in zip(names, values))
     assert repr(value) == f"{cls.__name__}({spelled})"
-    # A field holding a dict makes the value unhashable, as it made the dataclass.
-    assert hash_or_error(value) == hash_or_error(tuple(values))
+    # A field holding a map makes the value unhashable, as a dict made the dataclass.
+    assert hash_or_error(value) == hash_or_error(value._astuple())
+    assert type(hash_or_error(value)) is type(hash_or_error(tuple(values)))
     assert value == cls(*values)
     assert not value != cls(*values)
     assert value.__eq__(values) is NotImplemented
@@ -312,18 +314,42 @@ def test_targets_may_come_from_any_iterable():
         ActuatorPolicy(targets=iter(()))
 
 
-def test_each_default_response_is_a_fresh_dict():
-    first, second = ProgressModel(base_rate=1.0), ProgressModel(base_rate=1.0)
-    assert first.response == {} and type(first.response) is dict
-    assert first.response is not second.response
-    first.response["cpu"] = Proportional()
-    assert ProgressModel(base_rate=1.0).response == {}
+@CASES
+def test_container_fields_are_read_only(cls, values, others):
+    value = cls(*values)
+    for name in field_names(cls):
+        field = getattr(value, name)
+        assert not isinstance(field, (dict, list, set, bytearray)), name
+        if isinstance(field, MappingProxyType):
+            with pytest.raises(TypeError):
+                field["cpu"] = 1.0
+            with pytest.raises(TypeError):
+                del field[next(iter(field), "cpu")]
 
 
-def test_a_given_response_is_copied():
-    response = {"cpu": Proportional()}
-    model = ProgressModel(1.0, response)
-    assert model.response == response and model.response is not response
+def test_a_checked_map_cannot_be_changed_after_the_check():
+    model = SchedulerModel(target_latency_ms=10.0, weights={"a": 1.0})
+    with pytest.raises(TypeError):
+        model.weights["b"] = -5.0
+    with pytest.raises(TypeError):
+        ProgressModel(1.0).response["gpu"] = Proportional()
+    assert model.weights == {"a": 1.0}
+
+
+@pytest.mark.parametrize(
+    ("build", "attribute"),
+    [
+        (lambda given: ProgressModel(1.0, given), "response"),
+        (lambda given: SchedulerModel(10.0, given), "weights"),
+        (lambda given: Baseline(3, given), "totals"),
+    ],
+    ids=["response", "weights", "totals"],
+)
+def test_a_given_map_is_copied(build, attribute):
+    given = {"cpu": 1.0} if attribute == "weights" else {"cpu": Proportional()}
+    held = getattr(build(given), attribute)
+    given.clear()
+    assert len(held) == 1 and type(held) is MappingProxyType
 
 
 @pytest.mark.parametrize(
