@@ -317,14 +317,15 @@ def test_targets_may_come_from_any_iterable():
 @CASES
 def test_container_fields_are_read_only(cls, values, others):
     value = cls(*values)
-    for name in field_names(cls):
-        field = getattr(value, name)
-        assert not isinstance(field, (dict, list, set, bytearray)), name
-        if isinstance(field, MappingProxyType):
-            with pytest.raises(TypeError):
-                field["cpu"] = 1.0
-            with pytest.raises(TypeError):
-                del field[next(iter(field), "cpu")]
+    for copied in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        for name in field_names(cls):
+            field = getattr(copied, name)
+            assert not isinstance(field, (dict, list, set, bytearray)), name
+            if isinstance(field, MappingProxyType):
+                with pytest.raises(TypeError):
+                    field["cpu"] = 1.0
+                with pytest.raises(TypeError):
+                    del field[next(iter(field), "cpu")]
 
 
 def test_a_checked_map_cannot_be_changed_after_the_check():
@@ -337,19 +338,19 @@ def test_a_checked_map_cannot_be_changed_after_the_check():
 
 
 @pytest.mark.parametrize(
-    ("build", "attribute"),
+    ("build", "given"),
     [
-        (lambda given: ProgressModel(1.0, given), "response"),
-        (lambda given: SchedulerModel(10.0, given), "weights"),
-        (lambda given: Baseline(3, given), "totals"),
+        (lambda given: ProgressModel(1.0, given).response, {"cpu": Proportional()}),
+        (lambda given: SchedulerModel(10.0, given).weights, {"a": 1.0}),
+        (lambda given: Baseline(3, given).totals, {"p": 3.0}),
     ],
     ids=["response", "weights", "totals"],
 )
-def test_a_given_map_is_copied(build, attribute):
-    given = {"cpu": 1.0} if attribute == "weights" else {"cpu": Proportional()}
-    held = getattr(build(given), attribute)
+def test_a_given_map_is_copied(build, given):
+    held = build(given)
+    expected = dict(given)
     given.clear()
-    assert len(held) == 1 and type(held) is MappingProxyType
+    assert held == expected and type(held) is MappingProxyType
 
 
 @pytest.mark.parametrize(
