@@ -30,8 +30,12 @@ shares and policies and re-checks just the floor condition it relies on.
 with no code generated at import, equality, hashing and a repr over
 their fields, refused assignment and deletion, and pickling. Each
 constructor validates, then stores the fields. Every share-changing
-epoch builds new shares, so their constructor calls each field's slot
-setter once instead of looping through ``_fill``. The shares' ``__eq__``
+epoch builds new shares, so ``actuate`` builds them with
+``_build_shares``: one chained comparison accepts exactly what the
+constructor accepts, then ``object.__new__`` and one call of each
+field's slot setter store the shares, with no type call and no
+``__init__`` frame; a share the comparison refuses goes to the
+constructor, which raises its message. The shares' ``__eq__``
 compares the four floats in field order and stops at the first
 difference, where the base's builds two tuples first; the base's
 field-tuple ``__hash__`` is kept, so equal shares hash alike.
@@ -81,23 +85,11 @@ class ResourceShares(Value):
     def __init__(
         self, cpu: float = 1.0, memory: float = 1.0, network: float = 1.0, filesystem: float = 1.0
     ) -> None:
-        # One comparison on the common, valid path; it is false for NaN
-        # and both infinities. The loop runs only to name what failed, so
-        # each term here must test the same range as the loop below.
-        if not (
-            0.0 < cpu <= 1.0
-            and 0.0 < memory <= 1.0
-            and 0.0 < network <= 1.0
-            and 0.0 < filesystem <= 1.0
-        ):
-            for name, value in zip(RESOURCES, (cpu, memory, network, filesystem)):
-                if not 0.0 < value <= 1.0:
-                    raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
-        set_cpu, set_memory, set_network, set_filesystem = self._setters
-        set_cpu(self, cpu)
-        set_memory(self, memory)
-        set_network(self, network)
-        set_filesystem(self, filesystem)
+        # The comparison is false for NaN and both infinities.
+        for name, value in zip(RESOURCES, (cpu, memory, network, filesystem)):
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} share must lie in (0, 1], got {value!r}")
+        self._fill(cpu, memory, network, filesystem)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
@@ -119,6 +111,30 @@ class ResourceShares(Value):
 
 
 DEFAULT_SHARES = ResourceShares()
+
+_new = object.__new__
+_set_cpu, _set_memory, _set_network, _set_filesystem = ResourceShares._setters
+
+
+def _build_shares(cpu: float, memory: float, network: float, filesystem: float) -> ResourceShares:
+    """``ResourceShares(...)`` without the type call and ``__init__`` frame.
+
+    One comparison accepts exactly what the constructor accepts; a share
+    it refuses goes to the constructor, which names it.
+    """
+    if not (
+        0.0 < cpu <= 1.0
+        and 0.0 < memory <= 1.0
+        and 0.0 < network <= 1.0
+        and 0.0 < filesystem <= 1.0
+    ):
+        return ResourceShares(cpu, memory, network, filesystem)
+    shares = _new(ResourceShares)
+    _set_cpu(shares, cpu)
+    _set_memory(shares, memory)
+    _set_network(shares, network)
+    _set_filesystem(shares, filesystem)
+    return shares
 
 
 class ActuationMode(Enum):
@@ -229,7 +245,7 @@ def actuate(shares: ResourceShares, threat_delta: float, policy: ActuatorPolicy)
             share = 1.0
         values[index] = share
         moved = moved or share != current
-    return ResourceShares(*values) if moved else shares
+    return _build_shares(*values) if moved else shares
 
 
 def actuate_reset() -> ResourceShares:

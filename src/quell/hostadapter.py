@@ -14,7 +14,13 @@ keeps an append-only call log (exportable as CSV), and its ``Ack`` marks
 a redundant apply as a no-op, so idempotence is observable. The log is
 compact: one ``(handle, call, args)`` tuple per call, whose ``args`` is
 formatted when the call is made, once per distinct shares value, so
-equal shares share one string. ``calls`` builds the ``CallRecord`` list
+equal shares share one string. Each process keeps that string, its
+cell, for the shares the host holds, and an apply is a no-op exactly
+when the cell of the shares it leaves is that very string; on a host
+with unsupported resources, the shares it leaves are the requested
+ones merged with the held ones, and the merged shares are formatted
+for their cell. ``poll`` and ``apply_shares`` look the process up
+themselves, not through ``_lookup``. ``calls`` builds the ``CallRecord`` list
 from it on each read and returns a fresh list, and the CSV export spells
 each row straight from the log as one line. Acks are immutable, so each
 adapter answers with instances built once, one per outcome.
@@ -129,12 +135,14 @@ class CallRecord(Value):
 
 
 class _FakeProcess:
-    """A scripted process: its applied shares and whether it still runs."""
+    """A scripted process: its applied shares, their call-log cell, and
+    whether it still runs."""
 
-    __slots__ = ("shares", "alive")
+    __slots__ = ("shares", "cell", "alive")
 
-    def __init__(self, shares: ResourceShares, alive: bool = True) -> None:
+    def __init__(self, shares: ResourceShares, cell: str, alive: bool = True) -> None:
         self.shares = shares
+        self.cell = cell
         self.alive = alive
 
 
@@ -162,8 +170,9 @@ class FakeHostAdapter:
     def spawn(self, ident: str) -> ProcessHandle:
         if ident in self._processes:
             raise ValueError(f"process {ident!r} already exists")
-        self._processes[ident] = _FakeProcess(shares=DEFAULT_SHARES)
-        self._log.append((ident, "attach", self._format(DEFAULT_SHARES)))
+        cell = self._format(DEFAULT_SHARES)
+        self._processes[ident] = _FakeProcess(DEFAULT_SHARES, cell)
+        self._log.append((ident, "attach", cell))
         return ProcessHandle(ident=ident)
 
     def script_natural_exit(self, handle: ProcessHandle) -> None:
@@ -173,20 +182,30 @@ class FakeHostAdapter:
     # -- adapter surface ----------------------------------------------------
 
     def poll(self, handle: ProcessHandle) -> bool:
-        return self._lookup(handle).alive
+        proc = self._processes.get(handle.ident)
+        if proc is None:
+            raise StaleHandleError(f"unknown handle {handle.ident!r}")
+        return proc.alive
 
     def apply_shares(self, handle: ProcessHandle, shares: ResourceShares) -> Ack:
-        proc = self._lookup(handle)
+        ident = handle.ident
+        proc = self._processes.get(ident)
+        if proc is None:
+            raise StaleHandleError(f"unknown handle {ident!r}")
         if not proc.alive:
-            raise StaleHandleError(f"process {handle.ident!r} already exited")
-        self._log.append((handle.ident, "apply_shares", self._format(shares)))
+            raise StaleHandleError(f"process {ident!r} already exited")
+        cell = self._format(shares)
+        self._log.append((ident, "apply_shares", cell))
         if self.unsupported:
             # Resources this host cannot limit keep their current share.
             kept, current = self.unsupported, proc.shares
             shares = ResourceShares(*[(current if r in kept else shares).get(r) for r in RESOURCES])
-        if shares == proc.shares:
+            cell = self._format(shares)
+        # Equal shares share one cell, so the cell's identity stands for them.
+        if cell is proc.cell:
             return self._unchanged
         proc.shares = shares
+        proc.cell = cell
         return self._applied
 
     def terminate(self, handle: ProcessHandle) -> Ack:

@@ -12,8 +12,12 @@ killed nothing. Processes are attached and stepped in the id order a
 ``Scenario`` holds them in, as the simulator steps them, so a verdict
 source that runs dry raises the simulator's ``ScenarioError`` for the
 same process. A process is finished exactly when its ledger is
-terminated, and the loop ends once every process is finished. An error
-that stops the run carries the report so far.
+terminated, and the loop ends once every process is finished. The list
+of live processes is rebuilt only after an epoch in which one finished,
+and the adapter's ``poll``, ``apply_shares`` and ``terminate`` are
+bound once per run. An error that stops the run, an adapter error
+other than ``StaleHandleError`` at apply included, stops every process's
+supervision and carries the report so far.
 
 Resources the host cannot limit are logged once per run, at the first
 apply that reports them. Paced runs start epoch ``k + 1`` at
@@ -142,6 +146,7 @@ def supervise(
                 _Supervised(spec.process_id, spec.source, handle, ThreatLedger(), DEFAULT_SHARES)
             )
 
+        poll, apply_shares, terminate = adapter.poll, adapter.apply_shares, adapter.terminate
         live = supervised
         warned = False
         start = time.monotonic()
@@ -153,10 +158,12 @@ def supervise(
             if stop is not None and stop.is_set():
                 logger.info("stop requested at epoch %d", epoch)
                 break
+            finished = False
             for state in live:
                 state.epochs_run = epoch
-                if not adapter.poll(state.handle):
+                if not poll(state.handle):
                     state.ledger = mark_completed(state.ledger)
+                    finished = True
                     logger.info("%s exited on its own at epoch %d", state.process_id, epoch)
                     continue
                 try:
@@ -167,15 +174,17 @@ def supervise(
                 ledger, shares = respond(previous, state.shares, verdict, scenario)
                 state.ledger = ledger
                 if ledger.state is _TERMINATED:
-                    if adapter.terminate(state.handle).noop:
+                    finished = True
+                    if terminate(state.handle).noop:
                         # Gone before the kill landed: it exited on its own.
                         state.ledger = mark_completed(previous)
                         logger.info("%s exited before its terminate at epoch %d", state.process_id, epoch)
                 elif shares is not state.shares:
                     try:
-                        ack = adapter.apply_shares(state.handle, shares)
+                        ack = apply_shares(state.handle, shares)
                     except StaleHandleError:
                         state.ledger = mark_completed(state.ledger)
+                        finished = True
                         logger.info(
                             "%s exited before its shares applied at epoch %d", state.process_id, epoch
                         )
@@ -188,9 +197,10 @@ def supervise(
                             ", ".join(ack.unsupported),
                         )
                     state.shares = shares
-            live = [state for state in live if state.ledger.state is not _TERMINATED]
-            if not live:
-                break
+            if finished:
+                live = [state for state in live if state.ledger.state is not _TERMINATED]
+                if not live:
+                    break
     except BaseException as exc:
         exc.reports = _reports(supervised)  # type: ignore[attr-defined]
         raise

@@ -40,16 +40,22 @@ come from a ledger.
 ``ThreatLedger`` and ``AssessmentPolicy`` are ``__slots__`` classes
 over ``quell._value.Value``, which gives them, with no code generated
 at import, equality, hashing and a repr over their fields, refused
-assignment and deletion, and pickling. Every stepped epoch builds a
-ledger, so its constructor validates, then calls each field's slot
-setter once instead of looping through ``_fill``. The per-epoch
-functions read enum members through module-level aliases, because a
-read through an ``Enum`` class takes its metaclass's slow
-``__getattr__`` path.
+assignment and deletion, and pickling. The ledger's constructor checks
+each field by name, then stores them with ``_fill``. Every epoch builds
+a ledger, so ``step_epoch``, ``resolve_terminable`` and
+``mark_completed`` build theirs with ``_build_ledger`` instead: one
+chained comparison accepts exactly what the constructor accepts, then
+``object.__new__`` and one call of each field's slot setter store the
+fields, with no type call and no ``__init__`` frame. A field the
+comparison refuses goes to the constructor, which raises its message.
+The per-epoch functions read enum members through module-level
+aliases, because a read through an ``Enum`` class takes its
+metaclass's slow ``__getattr__`` path.
 
-``step_epoch`` calls ``clamp`` only for a score that is not a float in
-(0, 100], and ``clamp`` tests for a zero first: about half of all steps
-are benign verdicts on a normal ledger, whose threat index stays 0.0.
+About half of all steps are benign verdicts on a normal ledger, whose
+threat index stays 0.0. ``step_epoch`` sets a threat index equal to
+zero to 0.0 itself, which is what ``clamp`` returns for it, and calls
+``clamp`` only for a score that is not a float in (0, 100].
 """
 
 from __future__ import annotations
@@ -187,7 +193,7 @@ class AssessmentPolicy(Value):
 
 def _check_score(value: float, name: str) -> None:
     # The range comparison is false for NaN and both infinities.
-    # ``ThreatLedger.__init__`` inlines the same range for speed.
+    # ``_build_ledger`` inlines the same range for speed.
     if not 0.0 <= value <= SCORE_CEILING:
         raise ValueError(f"{name} must lie in [0, {SCORE_CEILING:g}], got {value!r}")
 
@@ -239,31 +245,52 @@ class ThreatLedger(Value):
         measurements: int = 0,
         exit_reason: str | None = None,
     ) -> None:
-        # One comparison on the common, valid path; the per-field checks
-        # run only to name what failed, so each score term here must test
-        # the same range as ``_check_score``.
-        if not (
-            0.0 <= penalty <= SCORE_CEILING
-            and 0.0 <= compensation <= SCORE_CEILING
-            and 0.0 <= threat_index <= SCORE_CEILING
-            and epoch >= 0
-            and measurements >= 0
-        ):
-            _check_score(penalty, "penalty")
-            _check_score(compensation, "compensation")
-            _check_score(threat_index, "threat_index")
+        _check_score(penalty, "penalty")
+        _check_score(compensation, "compensation")
+        _check_score(threat_index, "threat_index")
+        if not (epoch >= 0 and measurements >= 0):
             raise ValueError("epoch and measurements must be non-negative")
-        (
-            set_penalty, set_compensation, set_threat_index, set_state,
-            set_epoch, set_measurements, set_exit_reason,
-        ) = self._setters
-        set_penalty(self, penalty)
-        set_compensation(self, compensation)
-        set_threat_index(self, threat_index)
-        set_state(self, state)
-        set_epoch(self, epoch)
-        set_measurements(self, measurements)
-        set_exit_reason(self, exit_reason)
+        self._fill(penalty, compensation, threat_index, state, epoch, measurements, exit_reason)
+
+
+_new = object.__new__
+(
+    _set_penalty, _set_compensation, _set_threat_index, _set_state,
+    _set_epoch, _set_measurements, _set_exit_reason,
+) = ThreatLedger._setters
+
+
+def _build_ledger(
+    penalty: float,
+    compensation: float,
+    threat_index: float,
+    state: LifecycleState,
+    epoch: int,
+    measurements: int,
+    exit_reason: str | None,
+) -> ThreatLedger:
+    """``ThreatLedger(...)`` without the type call and ``__init__`` frame.
+
+    One comparison accepts exactly what the constructor accepts; a field
+    it refuses goes to the constructor, which names it.
+    """
+    if not (
+        0.0 <= penalty <= SCORE_CEILING
+        and 0.0 <= compensation <= SCORE_CEILING
+        and 0.0 <= threat_index <= SCORE_CEILING
+        and epoch >= 0
+        and measurements >= 0
+    ):
+        return ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements, exit_reason)
+    ledger = _new(ThreatLedger)
+    _set_penalty(ledger, penalty)
+    _set_compensation(ledger, compensation)
+    _set_threat_index(ledger, threat_index)
+    _set_state(ledger, state)
+    _set_epoch(ledger, epoch)
+    _set_measurements(ledger, measurements)
+    _set_exit_reason(ledger, exit_reason)
+    return ledger
 
 
 def step_epoch(
@@ -293,8 +320,9 @@ def step_epoch(
 
     Penalty and compensation are never reset by recovery; only clamping
     bounds them. Scores grow as ``assess`` grows them but skip its
-    checks, which a valid ledger already guarantees, and each calls
-    ``clamp`` only once it has left (0, 100] or is not a float.
+    checks, which a valid ledger already guarantees. A zero threat index
+    becomes 0.0 without ``clamp``; any other score calls it only once it
+    has left (0, 100] or is not a float.
     """
     state = ledger.state
     if state is not _NORMAL and state is not _SUSPICIOUS:
@@ -327,14 +355,18 @@ def step_epoch(
     else:
         threat_index = previous_threat
 
-    if not 0.0 < threat_index <= SCORE_CEILING or threat_index.__class__ is not float:
+    if threat_index == 0.0:
+        # What ``clamp`` returns for any zero, without the call.
+        threat_index = 0.0
+        state = _NORMAL
+    elif not 0.0 < threat_index <= SCORE_CEILING or threat_index.__class__ is not float:
         threat_index = clamp(threat_index)
         if threat_index == 0.0:
             state = _NORMAL
     if measurements >= measurement_budget:
         state = _TERMINABLE
 
-    stepped = ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements)
+    stepped = _build_ledger(penalty, compensation, threat_index, state, epoch, measurements, None)
     return stepped, threat_index - previous_threat
 
 
@@ -352,7 +384,7 @@ def resolve_terminable(ledger: ThreatLedger, verdict: Verdict) -> ThreatLedger:
         state, exit_reason = _TERMINATED, EXIT_BY_DETECTOR
     else:
         exit_reason = ledger.exit_reason
-    return ThreatLedger(
+    return _build_ledger(
         ledger.penalty, ledger.compensation, ledger.threat_index,
         state, ledger.epoch + 1, ledger.measurements, exit_reason,
     )
@@ -365,7 +397,7 @@ def mark_completed(ledger: ThreatLedger) -> ThreatLedger:
     """
     if ledger.state is _TERMINATED:
         raise ValueError("terminated is absorbing")
-    return ThreatLedger(
+    return _build_ledger(
         ledger.penalty, ledger.compensation, ledger.threat_index,
         _TERMINATED, ledger.epoch, ledger.measurements, EXIT_COMPLETED,
     )
