@@ -7,9 +7,10 @@ order (a slot whose name starts with ``_`` holds something that is not
 a field), and its hand-written ``__init__`` validates, then stores them
 with ``_fill``. The base keeps each field's slot descriptor ``__set__``
 in ``_setters``, in field order: ``_fill`` stores through them, which
-costs less than ``object.__setattr__`` by name, and a constructor built
-on every epoch unpacks them and calls each once, with no loop. The base
-gives it what the frozen dataclass gave:
+costs less than ``object.__setattr__`` by name, and a module that builds
+a type on every epoch unpacks them into a private builder that calls
+``object.__new__`` and each setter once, with no loop and no type call.
+The base gives it what the frozen dataclass gave:
 ``==`` and ``hash`` over the tuple of fields (``NotImplemented`` for
 another class), a ``Name(field=value, ...)`` repr, ``AttributeError``
 on assignment or deletion, and pickling and copying, which rebuild the

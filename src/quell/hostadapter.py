@@ -19,11 +19,12 @@ cell, for the shares the host holds, and an apply is a no-op exactly
 when the cell of the shares it leaves is that very string; on a host
 with unsupported resources, the shares it leaves are the requested
 ones merged with the held ones, and the merged shares are formatted
-for their cell. ``poll`` and ``apply_shares`` look the process up
-themselves, not through ``_lookup``. ``calls`` builds the ``CallRecord`` list
-from it on each read and returns a fresh list, and the CSV export spells
-each row straight from the log as one line. Acks are immutable, so each
-adapter answers with instances built once, one per outcome.
+for their cell. ``poll`` and ``apply_shares``, called on every epoch,
+look the process up themselves, not through ``_lookup``. ``calls``
+builds the ``CallRecord`` list from the log on each read and returns a
+fresh list, and the CSV export spells each row straight from the log as
+one line. Acks are immutable, so each adapter answers with instances
+built once, one per outcome.
 
 ``LinuxSignalAdapter`` is a thin real implementation for one platform:
 ``terminate`` sends SIGKILL, and a CPU share below 1.0 is enforced by a

@@ -8,6 +8,7 @@ tracer fails here rather than in the middle of a traced benchmark run.
 from pathlib import Path
 
 import quell.cli
+import quell.config
 import quell.simulation
 import quell.supervisor
 import quell.threat
@@ -75,3 +76,53 @@ def test_simulate_calls_every_traced_layer_once(monkeypatch, tmp_path, configs_d
         assert calls[name] == 1, name
     # The baseline is computed in closed form, not by a second run.
     assert calls["simulation.baseline"] == 0
+
+
+def traced_calls(monkeypatch, operation):
+    """Run ``operation`` once under the tracer; its calls and events."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        operation()
+        tracer.end_operation()
+    finally:
+        tracer.uninstall()
+    return tracer.stats.calls, tracer.stats.events
+
+
+def test_a_supervise_fleet_operation_reaches_every_traced_name(monkeypatch, tmp_path):
+    # The loop binds the adapter's methods once and the steps build values
+    # without their constructors; neither may hide a call from the tracer.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import fleet
+
+    scenario = quell.config.load_scenario(fleet.write_supervise_fleet(tmp_path, 1))
+    calls, events = traced_calls(
+        monkeypatch, lambda: quell.supervisor.supervise(scenario, FakeHostAdapter())
+    )
+    assert calls["threat.step_epoch"] == 45_000
+    assert calls["threat.resolve_terminable"] == 461
+    assert calls["hostadapter.poll"] == 45_461
+    assert calls["hostadapter.apply_shares"] == 22_127
+    assert calls["hostadapter.terminate"] == 100
+    assert calls["actuation.actuate"] == 45_000
+    assert events["terminated"] == 100
+    assert calls["supervisor.supervise"] == 1
+
+
+def test_a_sim_fleet_simulate_reaches_every_traced_name(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import fleet
+
+    ini = fleet.write_sim_fleet(tmp_path / "input", 1)
+    argv = ["simulate", "--scenario", str(ini), "--out", str(tmp_path / "out")]
+    calls, events = traced_calls(monkeypatch, lambda: quell.cli.main(argv))
+    capsys.readouterr()
+    assert calls["threat.step_epoch"] == 3_000
+    assert calls["threat.resolve_terminable"] == 1_620
+    assert calls["actuation.actuate"] == 3_000
+    assert events["records"] == 4_770
+    assert calls["simulation.run"] == 1

@@ -317,6 +317,38 @@ class TestSuperviseFake:
             "attack,suspicious,3,,0.700000,1.000000,1.000000,1.000000",
         ]
 
+    def test_one_process_adapter_error_keeps_every_report(self, tmp_path, capsys, monkeypatch):
+        class RefusingA(FakeHostAdapter):
+            """Fails ``a``'s second apply with an error that is not a stale handle."""
+
+            def apply_shares(self, handle, shares):
+                if handle.ident == "a" and len(self.calls) > 3:
+                    raise OSError("host refused the limit")
+                return super().apply_shares(handle, shares)
+
+        monkeypatch.setattr("quell.hostadapter.FakeHostAdapter", RefusingA)
+        section = "[process.{}]\nbase_rate = 100\nresponse_cpu = proportional\ndetector = flagger\n\n"
+        ini = tmp_path / "two.ini"
+        ini.write_text(
+            "[scenario]\nepochs = 6\nmeasurement_budget = 10\n\n"
+            + section.format("a") + section.format("z")
+            + "[detector.flagger]\nkind = stochastic\ntpr = 1.0\nfpr = 0.0\nground_truth = attack\n"
+        )
+        out = tmp_path / "out"
+        assert main(["supervise", "--scenario", str(ini), "--out", str(out), "--fake-adapter"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: host refused the limit\n")
+        # The run ended in epoch 2 at ``a``, before ``z`` was stepped again.
+        assert (out / "supervision.csv").read_text().splitlines() == [
+            "process,final_state,epochs_run,exit_reason,cpu,mem,net,fs",
+            "a,suspicious,2,,0.900000,1.000000,1.000000,1.000000",
+            "z,suspicious,1,,0.900000,1.000000,1.000000,1.000000",
+        ]
+        calls = (out / "calls.csv").read_text().splitlines()[1:]
+        assert [tuple(row.split(",")[1:3]) for row in calls] == [
+            ("a", "attach"), ("z", "attach"), ("a", "apply_shares"), ("z", "apply_shares"),
+        ]
+
     def test_failed_report_write_leaves_the_error_that_stopped_the_run(
         self, tmp_path, configs_dir, capsys, caplog, refused, monkeypatch
     ):

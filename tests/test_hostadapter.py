@@ -60,10 +60,22 @@ class TestSpawnAndPoll:
         with pytest.raises(ValueError):
             adapter.spawn("worker")
 
-    def test_unknown_handle_is_stale(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda adapter, handle: adapter.poll(handle),
+            lambda adapter, handle: adapter.apply_shares(handle, ResourceShares(cpu=0.5)),
+            lambda adapter, handle: adapter.terminate(handle),
+        ],
+        ids=["poll", "apply_shares", "terminate"],
+    )
+    def test_unknown_handle_is_stale(self, call):
         adapter = FakeHostAdapter()
-        with pytest.raises(StaleHandleError):
-            adapter.poll(ProcessHandle(ident="ghost"))
+        adapter.spawn("worker")
+        with pytest.raises(StaleHandleError) as raised:
+            call(adapter, ProcessHandle(ident="ghost"))
+        assert str(raised.value) == "unknown handle 'ghost'"
+        assert [c.call for c in adapter.calls] == ["attach"]
 
     def test_unknown_unsupported_resource_rejected(self):
         with pytest.raises(ValueError):
@@ -101,18 +113,32 @@ class TestApplyShares:
         assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5)).noop is False
         assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5)).noop is True
 
-    def test_repeat_differing_only_in_an_unsupported_resource_is_a_noop(self):
-        adapter = FakeHostAdapter(unsupported=("filesystem",))
+    @pytest.mark.parametrize("resource", ["memory", "filesystem"])
+    def test_repeat_differing_only_in_an_unsupported_resource_is_a_noop(self, resource):
+        adapter = FakeHostAdapter(unsupported=(resource,))
         handle = adapter.spawn("worker")
-        adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.5))
-        ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5, filesystem=0.25))
-        assert ack == Ack(noop=True, unsupported=("filesystem",))
+        asked = [ResourceShares(cpu=0.5, **{resource: 0.5}), ResourceShares(cpu=0.5, **{resource: 0.25})]
+        assert adapter.apply_shares(handle, asked[0]).noop is False
+        ack = adapter.apply_shares(handle, asked[1])
+        assert ack == Ack(noop=True, unsupported=(resource,))
+        # The host holds the requested shares merged with its own.
         assert adapter.applied_shares(handle) == ResourceShares(cpu=0.5)
         # The log still holds what was asked for.
         assert [c.args for c in adapter.calls if c.call == "apply_shares"] == [
-            "cpu=0.500000;mem=1.000000;net=1.000000;fs=0.500000",
-            "cpu=0.500000;mem=1.000000;net=1.000000;fs=0.250000",
+            format_shares(shares) for shares in asked
         ]
+
+    @pytest.mark.parametrize("unsupported", [(), ("memory",)])
+    def test_returning_to_earlier_shares_applies_each_time(self, unsupported):
+        # Equal shares share one log cell; a cell seen before is not a no-op
+        # unless it is the one the host holds now.
+        adapter = FakeHostAdapter(unsupported=unsupported)
+        handle = adapter.spawn("worker")
+        first, second = ResourceShares(cpu=0.5), ResourceShares(cpu=0.25, network=0.5)
+        for shares in (first, second, ResourceShares(cpu=0.5)):
+            assert adapter.apply_shares(handle, shares) == Ack(unsupported=unsupported)
+            assert adapter.applied_shares(handle) == shares
+        assert adapter.apply_shares(handle, first).noop is True
 
     def test_unsupported_resources_are_skipped_but_reported(self):
         adapter = FakeHostAdapter(unsupported=("memory",))
@@ -125,7 +151,7 @@ class TestApplyShares:
         adapter = FakeHostAdapter()
         handle = adapter.spawn("worker")
         adapter.terminate(handle)
-        with pytest.raises(StaleHandleError):
+        with pytest.raises(StaleHandleError, match="^process 'worker' already exited$"):
             adapter.apply_shares(handle, ResourceShares(cpu=0.5))
 
 

@@ -2,15 +2,16 @@
 
 ``clamp`` returns early for a zero and for a score already in range,
 ``step_epoch`` calls ``clamp`` only for a score that is not a float in
-(0, 100], ``actuate`` computes one move per call for all its targets,
-``StochasticSource`` compares the draw's top 53 bits with a cutoff
-computed once, the per-epoch functions read enum members through
-module-level aliases, the fake host keeps a compact call log and spells
-its CSV rows as f-strings, and ``log.csv`` spells each row as one ``%``
-format. These tests hold each shortcut to the plain form it replaces.
-The ledger's and the shares' unrolled constructors and the shares'
-early-exit ``__eq__`` are held to the value-type contract in
-``tests/test_value_types.py``.
+(0, 100] and is not a zero threat index, ``actuate`` computes one move
+per call for all its targets, ``StochasticSource`` compares the draw's
+top 53 bits with a cutoff computed once, the per-epoch functions read
+enum members through module-level aliases, the fake host keeps a
+compact call log and spells its CSV rows as f-strings, and ``log.csv``
+spells each row as one ``%`` format. These tests hold each shortcut to the plain form it replaces.
+The builders the steps use instead of the ledger's and the shares'
+constructors are held to those constructors in
+``tests/test_value_builders.py``, and the shares' early-exit ``__eq__``
+to the value-type contract in ``tests/test_value_types.py``.
 """
 
 import copy
@@ -285,9 +286,9 @@ HOT_PATH = [
     threat.step_epoch,
     threat.resolve_terminable,
     threat.AssessmentPolicy.grow,
-    threat.ThreatLedger.__init__,
+    threat._build_ledger,
     actuation.actuate,
-    actuation.ResourceShares.__init__,
+    actuation._build_shares,
     detectors.StochasticSource.verdict_at,
     detectors.ThresholdSource.verdict_at,
     detectors.TraceSource.verdict_at,

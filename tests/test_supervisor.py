@@ -220,6 +220,84 @@ class TestLifecycleEdges:
         assert f"{report.shares.cpu:.6f}" == "0.010000"
 
 
+class FourWaysOut(FakeHostAdapter):
+    """Fake host on which one process ends by each route in epoch 3.
+
+    ``a_runs`` comes first in id order and never ends, so its poll count
+    is the epoch every later call falls in. In epoch 3, ``b_gone`` has
+    exited before its poll, ``c_stale`` exits just after its poll, and
+    ``d_noop`` exits just before the kill lands.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.polls = {}
+        self.seen = []  # (handle, call, epoch)
+
+    def note(self, handle, call):
+        self.seen.append((handle.ident, call, self.polls.get("a_runs", 0)))
+
+    def poll(self, handle):
+        self.polls[handle.ident] = self.polls.get(handle.ident, 0) + 1
+        self.note(handle, "poll")
+        if handle.ident == "b_gone" and self.polls["b_gone"] == 3:
+            self.script_natural_exit(handle)
+        alive = super().poll(handle)
+        if handle.ident == "c_stale" and self.polls["c_stale"] == 3:
+            self.script_natural_exit(handle)
+        return alive
+
+    def apply_shares(self, handle, shares):
+        self.note(handle, "apply_shares")
+        return super().apply_shares(handle, shares)
+
+    def terminate(self, handle):
+        self.note(handle, "terminate")
+        if handle.ident == "d_noop":
+            self.script_natural_exit(handle)
+        return super().terminate(handle)
+
+
+class TestFourWaysToFinish:
+    def test_each_route_ends_the_calls_in_the_epoch_it_happens(self):
+        # Budget 2: epochs 1 and 2 step, epoch 3 resolves. ``c_stale``'s
+        # benign resolve restores its throttled shares, an apply that meets
+        # a process gone; ``d_noop`` and ``e_kill`` are resolved malicious.
+        specs = [
+            cpu_spec("a_runs", [M, B, B, B, B]),
+            cpu_spec("b_gone", [B] * 5),
+            cpu_spec("c_stale", [M, M, B]),
+            cpu_spec("d_noop", [M, M, M]),
+            cpu_spec("e_kill", [M, M, M]),
+        ]
+        adapter = FourWaysOut()
+        reports = supervise(make_scenario(specs, epochs=6, budget=2), adapter)
+        assert [(r.process_id, r.final_state, r.epochs_run, r.exit_reason) for r in reports] == [
+            ("a_runs", "terminable", 5, None),
+            ("b_gone", "terminated", 3, "completed"),
+            ("c_stale", "terminated", 3, "completed"),
+            ("d_noop", "terminated", 3, "completed"),
+            ("e_kill", "terminated", 3, "detector"),
+        ]
+        for report in reports:
+            assert adapter.polls[report.process_id] == report.epochs_run
+            last = max(epoch for ident, _, epoch in adapter.seen if ident == report.process_id)
+            assert last == report.epochs_run
+        in_epoch_3 = [(ident, call) for ident, call, epoch in adapter.seen if epoch == 3]
+        assert in_epoch_3 == [
+            ("a_runs", "poll"),
+            ("b_gone", "poll"),
+            ("c_stale", "poll"),
+            ("c_stale", "apply_shares"),
+            ("d_noop", "poll"),
+            ("d_noop", "terminate"),
+            ("e_kill", "poll"),
+            ("e_kill", "terminate"),
+        ]
+        # Only the detector's own kill reached the host's log.
+        assert [c.handle for c in adapter.calls if c.call == "terminate"] == ["e_kill"]
+
+
 class EpochStampedHost(FakeHostAdapter):
     """Fake host that notes the epoch of every apply and terminate call.
 
