@@ -11,12 +11,13 @@ Only ``supervise`` loads the host adapters, ``signal`` and
 ``threading``, and only it and ``--verbose`` runs set up ``logging``:
 no other run emits a record at the level that shows.
 
-``main`` reads a well-formed command line without argparse: a lean
-reader takes leading ``--verbose`` tokens, an exact subcommand name,
-and that subcommand's exact option strings, each at most once and each
-value not starting with ``-``, converted with the ``int`` or ``float``
-argparse would call. It fills the namespace argparse would. Anything
-else, help included, it declines, and ``main`` falls back to
+One table, ``_COMMANDS``, declares the command line: ``build_parser``
+builds the argparse parser from it, and ``main`` reads a well-formed
+command line by it without argparse. That lean reader takes leading
+``--verbose`` tokens, an exact subcommand name and that subcommand's
+exact option strings, each at most once and each value not starting
+with ``-``, converted as argparse would, into argparse's namespace.
+Anything else, help included, it declines, and ``main`` falls back to
 ``build_parser().parse_args``, so argparse alone prints every help
 text, usage message and error, and a successful start never imports
 ``argparse`` (or the ``locale`` its first message loads).
@@ -55,58 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_UNREACHABLE = 4
-
-
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="quell",
-        description="Throttle-first post-detection response: simulate, plan, replay, supervise.",
-    )
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    simulate = commands.add_parser("simulate", help="run a scenario and write log.csv + slowdown.csv")
-    simulate.add_argument("--scenario", required=True, help="scenario INI file")
-    simulate.add_argument("--out", required=True, help="output directory")
-    simulate.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    simulate.set_defaults(func=cmd_simulate, trace=None)
-
-    plan = commands.add_parser("plan", help="measurement budget for a detection quality target")
-    plan.add_argument("--curve", required=True, help="efficacy curve CSV")
-    group = plan.add_mutually_exclusive_group(required=True)
-    group.add_argument("--f1", type=float, default=None, help="require F1 at least this value")
-    group.add_argument("--fpr", type=float, default=None, help="require FPR at most this value")
-    plan.add_argument("--epoch-ms", type=float, default=100.0, help="epoch duration in ms")
-    plan.add_argument(
-        "--first-crossing",
-        action="store_true",
-        help="use the plain first crossing instead of the sustained one",
-    )
-    plan.set_defaults(func=cmd_plan)
-
-    replay = commands.add_parser("replay", help="run a scenario with verdicts from a trace file")
-    replay.add_argument("--scenario", required=True, help="scenario INI file")
-    replay.add_argument("--trace", required=True, help="verdict trace CSV (epoch,process,verdict)")
-    replay.add_argument("--out", required=True, help="output directory")
-    replay.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    replay.set_defaults(func=cmd_simulate)
-
-    supervise_cmd = commands.add_parser("supervise", help="drive a host adapter epoch by epoch")
-    supervise_cmd.add_argument("--scenario", required=True, help="scenario INI file")
-    supervise_cmd.add_argument("--out", required=True, help="output directory")
-    supervise_cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    adapter_group = supervise_cmd.add_mutually_exclusive_group(required=True)
-    adapter_group.add_argument(
-        "--fake-adapter", action="store_true", help="supervise scripted fake processes"
-    )
-    adapter_group.add_argument(
-        "--pid", type=int, default=None, help="supervise one real process (Linux)"
-    )
-    supervise_cmd.set_defaults(func=cmd_supervise)
-
-    return parser
 
 
 def _prepare_out(out: str) -> Path:
@@ -215,89 +164,115 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# What the lean reader accepts of each subcommand, as build_parser adds it:
-# each option string's dest and value type (None for a flag), the options
-# it requires, its required exclusive group (one option of it, exactly),
-# the defaults argparse sets for the dests not given, and its handler.
-_GRAMMAR = {
+# Each subcommand's help text, handler, the defaults it sets beside its
+# options, and its options in --help order. An option is its string, value
+# type (None for a flag), default, role and help text; its dest is the string
+# without the leading dashes and with "_" for "-", as argparse derives it.
+# A subcommand's _ONE_OF rows form its required exclusive group, which
+# build_parser opens at the first of them.
+_REQUIRED, _ONE_OF, _OPTIONAL = "required", "one of the required exclusive group", "optional"
+_VERBOSE = ("--verbose", None, False, _OPTIONAL, "log progress to stderr")
+_SCENARIO = ("--scenario", str, None, _REQUIRED, "scenario INI file")
+_OUT = ("--out", str, None, _REQUIRED, "output directory")
+_SEED = ("--seed", int, None, _OPTIONAL, "override the scenario seed")
+_COMMANDS = {
     "simulate": (
-        {"--scenario": ("scenario", str), "--out": ("out", str), "--seed": ("seed", int)},
-        ("--scenario", "--out"),
-        (),
-        {"seed": None, "trace": None},
-        cmd_simulate,
+        "run a scenario and write log.csv + slowdown.csv", cmd_simulate, {"trace": None},
+        (_SCENARIO, _OUT, _SEED),
     ),
     "plan": (
-        {
-            "--curve": ("curve", str),
-            "--f1": ("f1", float),
-            "--fpr": ("fpr", float),
-            "--epoch-ms": ("epoch_ms", float),
-            "--first-crossing": ("first_crossing", None),
-        },
-        ("--curve",),
-        ("--f1", "--fpr"),
-        {"f1": None, "fpr": None, "epoch_ms": 100.0, "first_crossing": False},
-        cmd_plan,
+        "measurement budget for a detection quality target", cmd_plan, {},
+        (
+            ("--curve", str, None, _REQUIRED, "efficacy curve CSV"),
+            ("--f1", float, None, _ONE_OF, "require F1 at least this value"),
+            ("--fpr", float, None, _ONE_OF, "require FPR at most this value"),
+            ("--epoch-ms", float, 100.0, _OPTIONAL, "epoch duration in ms"),
+            (
+                "--first-crossing", None, False, _OPTIONAL,
+                "use the plain first crossing instead of the sustained one",
+            ),
+        ),
     ),
     "replay": (
-        {
-            "--scenario": ("scenario", str),
-            "--trace": ("trace", str),
-            "--out": ("out", str),
-            "--seed": ("seed", int),
-        },
-        ("--scenario", "--trace", "--out"),
-        (),
-        {"seed": None},
-        cmd_simulate,
+        "run a scenario with verdicts from a trace file", cmd_simulate, {},
+        (
+            _SCENARIO,
+            ("--trace", str, None, _REQUIRED, "verdict trace CSV (epoch,process,verdict)"),
+            _OUT, _SEED,
+        ),
     ),
     "supervise": (
-        {
-            "--scenario": ("scenario", str),
-            "--out": ("out", str),
-            "--seed": ("seed", int),
-            "--fake-adapter": ("fake_adapter", None),
-            "--pid": ("pid", int),
-        },
-        ("--scenario", "--out"),
-        ("--fake-adapter", "--pid"),
-        {"seed": None, "fake_adapter": False, "pid": None},
-        cmd_supervise,
+        "drive a host adapter epoch by epoch", cmd_supervise, {},
+        (
+            _SCENARIO, _OUT, _SEED,
+            ("--fake-adapter", None, False, _ONE_OF, "supervise scripted fake processes"),
+            ("--pid", int, None, _ONE_OF, "supervise one real process (Linux)"),
+        ),
     ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="quell",
+        description="Throttle-first post-detection response: simulate, plan, replay, supervise.",
+    )
+    _add_option(parser, _VERBOSE)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, defaults, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        group = None
+        for row in options:
+            if row[3] is _ONE_OF and group is None:
+                group = command.add_mutually_exclusive_group(required=True)
+            _add_option(group if row[3] is _ONE_OF else command, row)
+        command.set_defaults(func=handler, **defaults)
+    return parser
+
+
+def _add_option(container: argparse._ActionsContainer, row: tuple) -> None:
+    option, kind, default, role, help_text = row
+    kind_args = {"action": "store_true"} if kind is None else {"type": kind}
+    container.add_argument(option, default=default, required=role is _REQUIRED, help=help_text, **kind_args)
 
 
 def _lean_args(argv: list[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns, or None to leave it to argparse."""
     start = 0
-    while start < len(argv) and argv[start] == "--verbose":
+    while start < len(argv) and argv[start] == _VERBOSE[0]:
         start += 1
-    if start == len(argv) or argv[start] not in _GRAMMAR:
+    if start == len(argv) or argv[start] not in _COMMANDS:
         return None
     command = argv[start]
-    options, required, exclusive, defaults, handler = _GRAMMAR[command]
-    values = dict(defaults)
-    seen = set()
+    _, handler, defaults, options = _COMMANDS[command]
+    kinds = {row[0]: row[1] for row in options}
+    given = {}
     tokens = iter(argv[start + 1:])
     for option in tokens:
-        if option not in options or option in seen:
+        if option not in kinds or option in given:
             return None
-        seen.add(option)
-        dest, kind = options[option]
-        if kind is None:
-            values[dest] = True
+        if kinds[option] is None:
+            given[option] = True
             continue
         value = next(tokens, "-")  # a missing value is declined as a dash one is
         if value.startswith("-"):
             return None
         try:
-            values[dest] = kind(value)
+            given[option] = kinds[option](value)
         except ValueError:
             return None
-    if not seen.issuperset(required):
-        return None
-    if exclusive and len(seen.intersection(exclusive)) != 1:
+    values = dict(defaults)
+    members = chosen = 0
+    for option, _, default, role, _ in options:
+        if role is _REQUIRED and option not in given:
+            return None
+        if role is _ONE_OF:
+            members += 1
+            chosen += option in given
+        values[option[2:].replace("-", "_")] = given.get(option, default)
+    if members and chosen != 1:
         return None
     return SimpleNamespace(verbose=start > 0, command=command, func=handler, **values)
 

@@ -90,25 +90,17 @@ class SupervisionReport(Value):
 
 
 class _Supervised:
-    """One process's state while ``supervise`` steps it."""
+    """One process's state while ``supervise`` steps it, from a fresh ledger at full shares."""
 
     __slots__ = ("process_id", "source", "handle", "ledger", "shares", "epochs_run")
 
-    def __init__(
-        self,
-        process_id: str,
-        source: VerdictSource,
-        handle: ProcessHandle,
-        ledger: ThreatLedger,
-        shares: ResourceShares,
-        epochs_run: int = 0,
-    ) -> None:
+    def __init__(self, process_id: str, source: VerdictSource, handle: ProcessHandle) -> None:
         self.process_id = process_id
         self.source = source
         self.handle = handle
-        self.ledger = ledger
-        self.shares = shares
-        self.epochs_run = epochs_run
+        self.ledger = ThreatLedger()
+        self.shares = DEFAULT_SHARES
+        self.epochs_run = 0
 
 
 def supervise(
@@ -142,9 +134,7 @@ def supervise(
                 handle = handles[spec.process_id]
             else:
                 handle = adapter.spawn(spec.process_id)  # type: ignore[attr-defined]
-            supervised.append(
-                _Supervised(spec.process_id, spec.source, handle, ThreatLedger(), DEFAULT_SHARES)
-            )
+            supervised.append(_Supervised(spec.process_id, spec.source, handle))
 
         poll, apply_shares, terminate = adapter.poll, adapter.apply_shares, adapter.terminate
         live = supervised

@@ -595,6 +595,69 @@ class TestArgumentErrors:
         assert text.startswith(f"usage: quell {command} [-h] " if command else TOP_USAGE)
         assert text.splitlines()[-1].startswith(last_line)
 
+    # Each --help text, line by line: the usage, the description, then each
+    # listed argument with its help. The comparison collapses whitespace,
+    # so argparse's line wrapping does not count, and drops the headings,
+    # which Python 3.10 spells "optional arguments:" for "options:".
+    HELP_TEXTS = {
+        "quell": [
+            "usage: quell [-h] [--verbose] {simulate,plan,replay,supervise} ...",
+            "Throttle-first post-detection response: simulate, plan, replay, supervise.",
+            "{simulate,plan,replay,supervise}",
+            "simulate run a scenario and write log.csv + slowdown.csv",
+            "plan measurement budget for a detection quality target",
+            "replay run a scenario with verdicts from a trace file",
+            "supervise drive a host adapter epoch by epoch",
+            "-h, --help show this help message and exit",
+            "--verbose log progress to stderr",
+        ],
+        "simulate": [
+            "usage: quell simulate [-h] --scenario SCENARIO --out OUT [--seed SEED]",
+            "-h, --help show this help message and exit",
+            "--scenario SCENARIO scenario INI file",
+            "--out OUT output directory",
+            "--seed SEED override the scenario seed",
+        ],
+        "plan": [
+            "usage: quell plan [-h] --curve CURVE (--f1 F1 | --fpr FPR) [--epoch-ms EPOCH_MS]"
+            " [--first-crossing]",
+            "-h, --help show this help message and exit",
+            "--curve CURVE efficacy curve CSV",
+            "--f1 F1 require F1 at least this value",
+            "--fpr FPR require FPR at most this value",
+            "--epoch-ms EPOCH_MS epoch duration in ms",
+            "--first-crossing use the plain first crossing instead of the sustained one",
+        ],
+        "replay": [
+            "usage: quell replay [-h] --scenario SCENARIO --trace TRACE --out OUT [--seed SEED]",
+            "-h, --help show this help message and exit",
+            "--scenario SCENARIO scenario INI file",
+            "--trace TRACE verdict trace CSV (epoch,process,verdict)",
+            "--out OUT output directory",
+            "--seed SEED override the scenario seed",
+        ],
+        "supervise": [
+            "usage: quell supervise [-h] --scenario SCENARIO --out OUT [--seed SEED]"
+            " (--fake-adapter | --pid PID)",
+            "-h, --help show this help message and exit",
+            "--scenario SCENARIO scenario INI file",
+            "--out OUT output directory",
+            "--seed SEED override the scenario seed",
+            "--fake-adapter supervise scripted fake processes",
+            "--pid PID supervise one real process (Linux)",
+        ],
+    }
+
+    @pytest.mark.parametrize("command", list(HELP_TEXTS))
+    def test_each_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "quell" else [command, "--help"]
+        exit_code, out, err = self.exit_and_output(main, argv, capsys)
+        assert (exit_code, err) == (0, "")
+        headings = {"positional arguments:", "options:", "optional arguments:"}
+        kept = " ".join(line for line in out.splitlines() if line not in headings)
+        assert " ".join(kept.split()) == " ".join(self.HELP_TEXTS[command])
+
     def test_main_without_argv_reads_the_command_line(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["quell", "plan", "--curve", CURVE, "--f1", "0.9"])
         assert main() == EXIT_OK

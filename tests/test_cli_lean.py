@@ -5,8 +5,8 @@ inside a strict shape: leading ``--verbose`` tokens, an exact subcommand
 name, then that subcommand's exact option strings, each once, each value
 not starting with ``-``. Three things hold it to the fallback: over
 generated command lines it returns exactly argparse's namespace or None,
-and None wherever argparse prints or exits; every line its grammar
-describes is read lean; and the commands the README and the benchmark
+and None wherever argparse prints or exits; every line the command-line
+table describes is read lean; and the commands the README and the benchmark
 run are read lean, so the fast path cannot go dead unnoticed.
 """
 
@@ -116,19 +116,22 @@ def test_lean_reader_agrees_with_argparse_or_gives_up(argv):
 @given(data=st.data())
 def test_a_line_inside_the_grammar_is_read_lean(data):
     command = data.draw(st.sampled_from(COMMANDS))
-    grammar, required, exclusive, _, _ = cli._GRAMMAR[command]
+    rows = cli._COMMANDS[command][3]
+    kinds = {option: kind for option, kind, _, _, _ in rows}
+    required = [option for option, _, _, role, _ in rows if role is cli._REQUIRED]
+    exclusive = [option for option, _, _, role, _ in rows if role is cli._ONE_OF]
     chosen = list(required)
     if exclusive:
         chosen.append(data.draw(st.sampled_from(exclusive)))
     chosen += [
-        option for option in grammar
+        option for option in kinds
         if option not in chosen and option not in exclusive and data.draw(st.booleans())
     ]
     chosen = data.draw(st.permutations(chosen))
     argv = ["--verbose"] * data.draw(st.integers(0, 2)) + [command]
     for option in chosen:
         argv.append(option)
-        kind = grammar[option][1]
+        kind = kinds[option]
         if kind is not None:
             argv.append(data.draw(st.sampled_from(GOOD_VALUES[kind.__name__])))
     lean = lean_args(argv)
