@@ -82,7 +82,9 @@ class EfficacyCurve(Value):
         for earlier, later in zip(points, points[1:]):
             if later.measurements <= earlier.measurements:
                 raise ValueError("measurement counts must be strictly increasing")
-        if not math.isfinite(epoch_duration_ms) or epoch_duration_ms <= 0.0:
+        if not math.isfinite(epoch_duration_ms):
+            raise ValueError(f"epoch duration must be finite, got {epoch_duration_ms!r}")
+        if epoch_duration_ms <= 0.0:
             raise ValueError("epoch duration must be positive")
         self._fill(points, detector_name, epoch_duration_ms)
 

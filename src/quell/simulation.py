@@ -11,6 +11,13 @@ zero progress and is the process's final record. ``respond`` is that
 per-epoch transition; the supervisor runs the same function against a
 live host. Both drivers step epoch by epoch, and within an epoch the
 live processes in id order, so both raise the same first failure.
+``run_scenario`` is one flat loop over the epochs: each process's
+ledger, shares, rate and cumulative progress live in a small
+``__slots__`` object, each record is built with ``tuple.__new__``
+(no named-tuple ``__new__`` frame), and the list of live processes is
+rebuilt only after an epoch in which one was terminated. It calls
+``next_verdict``, ``respond`` and ``progress_rate`` through this
+module's globals, where the benchmark's tracer wraps them.
 
 Progress per epoch is ``base_rate`` scaled by the process's response to
 its current shares. Response curves map one resource's share to a
@@ -25,7 +32,9 @@ progress multiplier in [0, 1] (share 1.0 always maps to multiplier 1.0):
                          collapses below it (memory-bound work)
 
 Multipliers across resources combine by bottleneck (minimum, the
-default) or product.
+default) or product. A model keeps its curves as terms of a resource's
+index and the curve's ``multiplier``, so ``progress_rate`` reads the
+four shares once and folds the terms in ``response`` order.
 
 Slowdown compares the throttled run against the same scenario with the
 response disabled: S = (1 - with/without) * 100, in percent. With the
@@ -58,7 +67,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from ._value import Value
 from .actuation import (
@@ -193,7 +202,7 @@ class ProgressModel(Value):
     without a curve do not affect progress.
     """
 
-    __slots__ = ("base_rate", "response", "combiner")
+    __slots__ = ("base_rate", "response", "combiner", "_terms")
     base_rate: float
     response: Mapping[str, ResponseCurve]
     combiner: Combiner
@@ -212,18 +221,34 @@ class ProgressModel(Value):
         if unknown:
             raise ValueError(f"unknown resources in response map: {unknown}")
         self._fill(base_rate, MappingProxyType(response), combiner)
+        # (index into RESOURCES, curve.multiplier) per curve, in ``response``
+        # order, for ``progress_rate``. Not a field, so equality, hashing
+        # and repr ignore it.
+        _set_terms(self, tuple([(_INDEX[r], curve.multiplier) for r, curve in response.items()]))
+
+
+_INDEX = {resource: index for index, resource in enumerate(RESOURCES)}
+_set_terms = ProgressModel.__dict__["_terms"].__set__
+_BOTTLENECK_MIN = Combiner.BOTTLENECK_MIN
 
 
 def progress_rate(model: ProgressModel, shares: ResourceShares) -> float:
-    """Progress units per epoch at the given shares."""
-    if model.combiner is Combiner.BOTTLENECK_MIN:
-        combined = 1.0
-        for resource, curve in model.response.items():
-            combined = min(combined, curve.multiplier(shares.get(resource)))
+    """Progress units per epoch at the given shares.
+
+    The multipliers fold in ``response`` order. The bottleneck keeps a
+    multiplier only when it is below the minimum so far, which is what
+    ``min(combined, multiplier)`` returns.
+    """
+    values = (shares.cpu, shares.memory, shares.network, shares.filesystem)
+    combined = 1.0
+    if model.combiner is _BOTTLENECK_MIN:
+        for index, multiplier in model._terms:
+            value = multiplier(values[index])
+            if value < combined:
+                combined = value
     else:
-        combined = 1.0
-        for resource, curve in model.response.items():
-            combined *= curve.multiplier(shares.get(resource))
+        for index, multiplier in model._terms:
+            combined *= multiplier(values[index])
     return model.base_rate * combined
 
 
@@ -275,7 +300,9 @@ class Scenario:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.measurement_budget < 1:
             raise ValueError(f"measurement budget must be >= 1, got {self.measurement_budget}")
-        if not math.isfinite(self.epoch_duration_ms) or self.epoch_duration_ms <= 0.0:
+        if not math.isfinite(self.epoch_duration_ms):
+            raise ValueError(f"epoch duration must be finite, got {self.epoch_duration_ms!r}")
+        if self.epoch_duration_ms <= 0.0:
             raise ValueError("epoch duration must be positive")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
@@ -443,7 +470,7 @@ def respond(
     """
     if ledger.state is _TERMINABLE:
         ledger = resolve_terminable(ledger, verdict)
-        if ledger.state is _TERMINATED or shares == DEFAULT_SHARES:
+        if ledger.state is _TERMINATED or shares is DEFAULT_SHARES or shares == DEFAULT_SHARES:
             return ledger, shares
         return ledger, actuate_reset()
     ledger, delta = step_epoch(
@@ -457,51 +484,25 @@ def respond(
     return ledger, actuate(shares, delta, scenario.actuator)
 
 
-def _run_process(spec: ProcessSpec, scenario: Scenario) -> Iterator[EpochRecord]:
-    """Yield the process's record for each epoch; the caller stops at a terminated one."""
-    ledger = ThreatLedger()
-    shares = DEFAULT_SHARES
-    # Progress depends on the shares only, and ``respond`` returns the
-    # same shares object unless a share moved, so rate it again only
-    # when that object changes.
-    rated_shares = None
-    rate = 0.0
-    cumulative = 0.0
-    for epoch in range(scenario.epochs):
-        if epoch == 0 or not scenario.response_enabled:
-            verdict_name = NO_VERDICT
-        else:
-            try:
-                verdict = next_verdict(spec.source, epoch)
-            except SourceExhausted as exc:
-                raise ScenarioError(f"process {spec.process_id!r}: {exc}") from exc
-            # ``_value_`` is the plain attribute behind the ``value`` property.
-            verdict_name = verdict._value_
-            ledger, shares = respond(ledger, shares, verdict, scenario)
-        state = ledger.state
-        if state is _TERMINATED:
-            progress = 0.0
-        else:
-            if shares is not rated_shares:
-                rated_shares = shares
-                rate = progress_rate(spec.model, shares)
-            progress = rate
-        cumulative += progress
-        yield EpochRecord(
-            epoch,
-            spec.process_id,
-            verdict_name,
-            ledger.penalty,
-            ledger.compensation,
-            ledger.threat_index,
-            state._value_,
-            shares.cpu,
-            shares.memory,
-            shares.network,
-            shares.filesystem,
-            progress,
-            cumulative,
-        )
+class _Run:
+    """One process's state while ``run_scenario`` steps it, from a fresh ledger at full shares.
+
+    Progress depends on the shares only, and ``respond`` returns the
+    same shares object unless a share moved, so ``rate`` is the rate at
+    ``shares`` and is rated again only when that object changes.
+    """
+
+    __slots__ = ("spec", "ledger", "shares", "rate", "cumulative")
+
+    def __init__(self, spec: ProcessSpec) -> None:
+        self.spec = spec
+        self.ledger = ThreatLedger()
+        self.shares = DEFAULT_SHARES
+        self.rate = progress_rate(spec.model, DEFAULT_SHARES)
+        self.cumulative = 0.0
+
+
+_new_record = tuple.__new__
 
 
 def run_scenario(scenario: Scenario) -> ScenarioLog:
@@ -509,15 +510,53 @@ def run_scenario(scenario: Scenario) -> ScenarioLog:
 
     That is the order of the log's records and the order ``supervise``
     steps in, so the first failure raised is the earliest epoch's, then
-    the lowest id's. A terminated process has no record after that epoch.
+    the lowest id's. Epoch 0, and every epoch with the response off,
+    consumes no verdict. A terminated process has no record after that
+    epoch.
     """
-    terminated = _TERMINATED._value_
-    live = [_run_process(spec, scenario) for spec in scenario.processes]
     records: list[EpochRecord] = []
-    for _ in range(scenario.epochs):
-        rows = [next(run) for run in live]
-        records += rows
-        live = [run for run, row in zip(live, rows) if row.state != terminated]
+    append = records.append
+    runs = [_Run(spec) for spec in scenario.processes]
+    quiet = 1 if scenario.response_enabled else scenario.epochs
+    for epoch in range(quiet):
+        for run in runs:
+            ledger, shares = run.ledger, run.shares
+            run.cumulative = cumulative = run.cumulative + run.rate
+            fields = (
+                epoch, run.spec.process_id, NO_VERDICT,
+                ledger.penalty, ledger.compensation, ledger.threat_index, ledger.state._value_,
+                shares.cpu, shares.memory, shares.network, shares.filesystem, run.rate, cumulative,
+            )
+            append(_new_record(EpochRecord, fields))
+    for epoch in range(quiet, scenario.epochs):
+        terminated = False
+        for run in runs:
+            spec = run.spec
+            try:
+                verdict = next_verdict(spec.source, epoch)
+            except SourceExhausted as exc:
+                raise ScenarioError(f"process {spec.process_id!r}: {exc}") from exc
+            ledger, shares = respond(run.ledger, run.shares, verdict, scenario)
+            run.ledger = ledger
+            state = ledger.state
+            if state is _TERMINATED:
+                progress = 0.0
+                terminated = True
+            else:
+                if shares is not run.shares:
+                    run.shares = shares
+                    run.rate = progress_rate(spec.model, shares)
+                progress = run.rate
+            run.cumulative = cumulative = run.cumulative + progress
+            # ``_value_`` is the plain attribute behind the ``value`` property.
+            fields = (
+                epoch, spec.process_id, verdict._value_,
+                ledger.penalty, ledger.compensation, ledger.threat_index, state._value_,
+                shares.cpu, shares.memory, shares.network, shares.filesystem, progress, cumulative,
+            )
+            append(_new_record(EpochRecord, fields))
+        if terminated:
+            runs = [run for run in runs if run.ledger.state is not _TERMINATED]
     return ScenarioLog(epochs=scenario.epochs, records=tuple(records))
 
 

@@ -149,6 +149,17 @@ class TestPlan:
         assert code == EXIT_CONFIG
         assert captured.err == "error: epoch duration must be positive\n"
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_epoch_duration_is_named(self, tmp_path, capsys, value):
+        curve = tmp_path / "dip.csv"
+        curve.write_text(DIPPING_CURVE)
+        # The ``=`` form, or argparse would read ``-inf`` as an option.
+        code = main(["plan", "--curve", str(curve), "--f1", "0.9", f"--epoch-ms={value}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: epoch duration must be finite, got {value}\n"
+
 
 class TestReplay:
     def test_recovery_trace(self, tmp_path, configs_dir, capsys):
@@ -741,6 +752,13 @@ class TestConfigErrorsBeforeTheRun:
         ini = THRESHOLD_INI.replace("cutoff = 1.0", "cutoff = nan")
         err = self._simulate(tmp_path, _threshold_scenario(tmp_path / "s", ini), capsys)
         assert err == "error: [detector.d] cutoff must be finite, got nan\n"
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_epoch_duration(self, tmp_path, capsys, value):
+        ini = THRESHOLD_INI.replace("[scenario]\n", f"[scenario]\nepoch_duration_ms = {value}\n")
+        scenario = _threshold_scenario(tmp_path / "s", ini)
+        err = self._simulate(tmp_path, scenario, capsys)
+        assert err == f"error: {scenario}: epoch duration must be finite, got {value}\n"
 
     @pytest.mark.parametrize(
         "values, line",

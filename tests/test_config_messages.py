@@ -188,6 +188,10 @@ CASES = {
     ),
     "zero epoch duration": ("threshold", [("scenario", "epoch_duration_ms", "0")],
                             "{path}: epoch duration must be positive"),
+    "infinite epoch duration": ("threshold", [("scenario", "epoch_duration_ms", "inf")],
+                                "{path}: epoch duration must be finite, got inf"),
+    "nan epoch duration": ("threshold", [("scenario", "epoch_duration_ms", "nan")],
+                           "{path}: epoch duration must be finite, got nan"),
     "zero measurements per epoch": ("threshold", [("scenario", "measurements_per_epoch", "0")],
                                     "{path}: measurements per epoch must be >= 1"),
     "short stream": ("threshold", [("scenario", "epochs", "7")],

@@ -3,7 +3,8 @@
 ``clamp`` returns early for a zero and for a score already in range,
 ``step_epoch`` calls ``clamp`` only for a score that is not a float in
 (0, 100] and is not a zero threat index, ``actuate`` computes one move
-per call for all its targets, ``StochasticSource`` compares the draw's
+per call for all its targets, ``progress_rate`` folds terms each model
+computes once, ``StochasticSource`` compares the draw's
 top 53 bits with a cutoff computed once, the per-epoch functions read
 enum members through module-level aliases, the fake host keeps a
 compact call log and spells its CSV rows as f-strings, and ``log.csv``
@@ -17,12 +18,13 @@ to the value-type contract in ``tests/test_value_types.py``.
 import copy
 import dis
 import io
+import itertools
 import math
 import pickle
 import types
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quell import actuation, detectors, simulation, supervisor, threat
@@ -38,7 +40,16 @@ from quell.hostadapter import (
     StaleHandleError,
     format_shares,
 )
-from quell.simulation import LOG_CSV_HEADER, EpochRecord, ScenarioLog
+from quell.simulation import (
+    LOG_CSV_HEADER,
+    Cliff,
+    Combiner,
+    EpochRecord,
+    LinearSaturating,
+    ProgressModel,
+    Proportional,
+    ScenarioLog,
+)
 from quell.threat import AssessmentPolicy, LifecycleState, ThreatLedger, Verdict, clamp, step_epoch
 from reference import float_draw_verdict, share_walk, uniform_draw
 
@@ -216,6 +227,70 @@ def test_actuate_matches_the_per_target_walk(data):
         shares = moved
 
 
+# -- progress folds precomputed terms ---------------------------------------------
+
+
+def plain_progress_rate(model, shares):
+    """``progress_rate`` in its plain form: ``shares.get`` and ``min`` per curve."""
+    combined = 1.0
+    if model.combiner is Combiner.BOTTLENECK_MIN:
+        for resource, curve in model.response.items():
+            combined = min(combined, curve.multiplier(shares.get(resource)))
+    else:
+        for resource, curve in model.response.items():
+            combined *= curve.multiplier(shares.get(resource))
+    return model.base_rate * combined
+
+
+# Every subset of the resources, in every order.
+RESPONSE_ORDERS = [
+    order for size in range(len(RESOURCES) + 1) for order in itertools.permutations(RESOURCES, size)
+]
+curves = st.one_of(
+    st.just(Proportional()),
+    st.builds(LinearSaturating, share),
+    # An int collapsed multiplier makes ``min`` and the product return an int.
+    st.builds(Cliff, share, st.sampled_from([0, 1, 0.0, 0.5]) | st.floats(0.0, 1.0)),
+)
+rate_shares = st.builds(
+    ResourceShares, *[st.sampled_from([1.0, 0.5, SUBNORMAL]) | share for _ in RESOURCES]
+)
+
+
+@pytest.mark.parametrize("order", RESPONSE_ORDERS, ids=lambda order: "-".join(order) or "none")
+@given(
+    st.sampled_from(Combiner),
+    st.floats(1e-3, 1e4) | st.sampled_from([SUBNORMAL, 1e300]),
+    st.lists(curves, min_size=len(RESOURCES), max_size=len(RESOURCES)),
+    rate_shares,
+)
+@settings(max_examples=25)
+def test_progress_rate_matches_the_plain_loop(order, combiner, base_rate, drawn, shares):
+    model = ProgressModel(base_rate, dict(zip(order, drawn)), combiner)
+    assert [index for index, _ in model._terms] == [RESOURCES.index(r) for r in order]
+    assert repr(simulation.progress_rate(model, shares)) == repr(plain_progress_rate(model, shares))
+
+
+def test_the_terms_are_not_a_field():
+    response = {"memory": Cliff(0.5, 0), "cpu": Proportional()}
+    first = ProgressModel(2.0, response, Combiner.PRODUCT)
+    second = ProgressModel(2.0, response, Combiner.PRODUCT)
+    # Equal models with different terms still compare and print alike.
+    object.__setattr__(second, "_terms", ())
+    assert first == second
+    # Hashing reads the fields alone, and the response map is not hashable.
+    for model in (first, second):
+        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+            hash(model)
+    assert repr(first) == repr(second) and "_terms" not in repr(first)
+    assert ProgressModel.__match_args__ == ("base_rate", "response", "combiner")
+    # Rebuilt from the fields, not copied, by pickle and copy.
+    for twin in (pickle.loads(pickle.dumps(second)), copy.copy(second), copy.deepcopy(second)):
+        assert twin == first
+        assert [index for index, _ in twin._terms] == [1, 0]
+        assert [method.__self__ for _, method in twin._terms] == list(twin.response.values())
+
+
 # -- stochastic verdicts compare the draw's bits with a cutoff ------------------
 
 probabilities = st.floats(0.0, 1.0) | st.sampled_from(
@@ -279,7 +354,9 @@ def test_the_cutoff_is_not_a_field():
 
 # -- no enum class lookups on the per-epoch path ------------------------------
 
-ENUM_CLASSES = {"LifecycleState", "Verdict", "GrowthFamily", "ActuationMode", "GroundTruth"}
+ENUM_CLASSES = {
+    "LifecycleState", "Verdict", "GrowthFamily", "ActuationMode", "GroundTruth", "Combiner",
+}
 
 HOT_PATH = [
     threat.clamp,
@@ -292,8 +369,8 @@ HOT_PATH = [
     detectors.StochasticSource.verdict_at,
     detectors.ThresholdSource.verdict_at,
     detectors.TraceSource.verdict_at,
+    simulation.progress_rate,
     simulation.respond,
-    simulation._run_process,
     simulation.run_scenario,
     supervisor.supervise,
 ]
@@ -317,7 +394,7 @@ def test_no_enum_class_is_read_per_epoch(function):
 def test_records_read_member_values_directly():
     # ``value`` is a property on every member; ``_value_`` is the plain
     # attribute it returns.
-    assert "value" not in simulation._run_process.__code__.co_names
+    assert "value" not in simulation.run_scenario.__code__.co_names
 
 
 # -- the supervisor applies on identity -----------------------------------------

@@ -18,7 +18,7 @@ from quell.actuation import (
     actuate,
 )
 from quell.config import load_scenario
-from quell.detectors import StochasticSource, GroundTruth, TraceSource
+from quell.detectors import GroundTruth, StochasticSource, ThresholdSource, TraceSource
 from quell.simulation import (
     Cliff,
     Combiner,
@@ -800,3 +800,100 @@ class TestMergeOrder:
                 lengths |= self.check(self.scenario(rng, ids[: rng.randint(1, len(ids))]))
         # Terminated at several epochs, and some outlive the scenario.
         assert len(lengths) > 3 and 12 in lengths
+
+
+# -- the flat loop steps each process as if it ran alone ----------------------
+
+unit = st.floats(0.0, 1.0)
+unit_open_closed = st.floats(0.0, 1.0, exclude_min=True)
+response_curves = st.one_of(
+    st.just(Proportional()),
+    st.builds(LinearSaturating, unit_open_closed),
+    st.builds(Cliff, unit_open_closed, unit | st.sampled_from([0, 1])),
+)
+growth_policies = st.sampled_from(
+    [INC, AssessmentPolicy.exponential(), AssessmentPolicy.linear(2.0, 0.5)]
+)
+
+
+@st.composite
+def verdict_sources(draw, epochs):
+    """A source of each kind; a file-backed one may stop a few epochs short."""
+    short = draw(st.sampled_from([0, 0, 0, 0, 1, 3, 8]))
+    kind = draw(st.sampled_from(["trace", "stochastic", "threshold"]))
+    if kind == "trace":
+        # A malicious run first, so processes are terminated at different epochs.
+        attack = draw(st.integers(0, epochs))
+        tail = draw(st.lists(st.sampled_from([M, B]), min_size=epochs, max_size=epochs))
+        verdicts = ((M,) * attack + tuple(tail))[: max(0, epochs - 1 - short)]
+        return TraceSource(verdicts, start_epoch=1)
+    if kind == "stochastic":
+        return StochasticSource(
+            draw(unit), draw(unit), draw(st.sampled_from(GroundTruth)), draw(st.integers(0, 2**64 - 1))
+        )
+    values = draw(
+        st.lists(st.floats(0.0, 10.0), min_size=max(0, epochs - short), max_size=epochs)
+    )
+    return ThresholdSource(draw(st.integers(1, 4)), draw(st.floats(0.0, 10.0)), tuple(values))
+
+
+@st.composite
+def mixed_fleets(draw):
+    epochs = draw(st.sampled_from([1, 2, 8, 12, 16]) | st.integers(1, 16))
+    count = draw(st.sampled_from([1, 4, 6]) | st.integers(1, 6))
+    ids = draw(st.permutations(TestMergeOrder.IDS))[:count]
+    specs = []
+    for process_id in ids:
+        resources = draw(st.permutations(RESOURCES))[: draw(st.integers(0, len(RESOURCES)))]
+        model = ProgressModel(
+            base_rate=draw(st.floats(1e-3, 1e4)),
+            response={resource: draw(response_curves) for resource in resources},
+            combiner=draw(st.sampled_from(Combiner)),
+        )
+        specs.append(ProcessSpec(process_id, model, draw(verdict_sources(epochs))))
+    return Scenario(
+        processes=tuple(specs),
+        measurement_budget=draw(st.integers(1, 6)),
+        penalty_policy=draw(growth_policies),
+        compensation_policy=draw(growth_policies),
+        actuator=draw(policies()),
+        epochs=epochs,
+        measurements_per_epoch=draw(st.integers(1, 3)),
+        response_enabled=draw(st.sampled_from([True, True, True, False])),
+    )
+
+
+def first_failure(scenario):
+    """(epoch, message) of the ``ScenarioError`` a run raises, or None."""
+    try:
+        run_scenario(scenario)
+        return None
+    except ScenarioError:
+        pass
+    # Epoch 0 consumes no verdict; a run of ``epochs`` epochs ends at ``epochs - 1``.
+    for epochs in range(2, scenario.epochs + 1):
+        try:
+            run_scenario(replace(scenario, epochs=epochs))
+        except ScenarioError as exc:
+            return epochs - 1, str(exc)
+    raise AssertionError("a shorter run passed where the whole run failed")
+
+
+@given(mixed_fleets())
+def test_each_process_runs_as_if_alone(scenario):
+    alone = {spec.process_id: replace(scenario, processes=(spec,)) for spec in scenario.processes}
+    failures = sorted(
+        (failure[0], process_id, failure[1])
+        for process_id, single in alone.items()
+        if (failure := first_failure(single)) is not None
+    )
+    if failures:
+        # The earliest epoch's failure, then the lowest id's.
+        with pytest.raises(ScenarioError) as excinfo:
+            run_scenario(scenario)
+        assert str(excinfo.value) == failures[0][2]
+        return
+    runs = [run_scenario(single).records for single in alone.values()]
+    expected = sorted(chain(*runs), key=lambda r: (r.epoch, r.process_id))
+    # ``repr`` tells -0.0 from 0.0 and an int from a float.
+    assert list(map(repr, run_scenario(scenario).records)) == list(map(repr, expected))
