@@ -249,7 +249,7 @@ RESPONSE_ORDERS = [
 curves = st.one_of(
     st.just(Proportional()),
     st.builds(LinearSaturating, share),
-    # An int collapsed multiplier makes ``min`` and the product return an int.
+    # ``min`` returns an int collapsed multiplier as it is, so the fold must too.
     st.builds(Cliff, share, st.sampled_from([0, 1, 0.0, 0.5]) | st.floats(0.0, 1.0)),
 )
 rate_shares = st.builds(
