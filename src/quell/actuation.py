@@ -32,13 +32,17 @@ their fields, refused assignment and deletion, and pickling. Each
 constructor validates, then stores the fields. Every share-changing
 epoch builds new shares, so ``actuate`` builds them with
 ``_build_shares``: one chained comparison accepts exactly what the
-constructor accepts, then ``object.__new__`` and one call of each
-field's slot setter store the shares, with no type call and no
-``__init__`` frame; a share the comparison refuses goes to the
-constructor, which raises its message. The shares' ``__eq__``
-compares the four floats in field order and stops at the first
-difference, where the base's builds two tuples first; the base's
-field-tuple ``__hash__`` is kept, so equal shares hash alike.
+constructor accepts, then the shares are stored on ``object.__new__``
+of the shares' ``draft``, one plain slot store each, and one
+``__class__`` assignment freezes them as ``ResourceShares``, with no
+type call and no ``__init__`` frame. The draft sets ``__delattr__``
+with ``__setattr__``, because CPython keeps both in one type slot and
+overriding only one leaves every store on the slow path. A share the
+comparison refuses goes to the constructor, which raises its message.
+The shares' ``__eq__`` compares the four floats in field order and
+stops at the first difference, where the base's builds two tuples
+first; the base's field-tuple ``__hash__`` is kept, so equal shares
+hash alike.
 
 ``actuate`` tests for a zero delta first: about half of all steps
 leave the threat index as it was. It computes the move once per call,
@@ -55,7 +59,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from ._value import Value
+from ._value import Value, draft
 
 __all__ = [
     "RESOURCES",
@@ -113,14 +117,15 @@ class ResourceShares(Value):
 DEFAULT_SHARES = ResourceShares()
 
 _new = object.__new__
-_set_cpu, _set_memory, _set_network, _set_filesystem = ResourceShares._setters
+_ResourceSharesDraft = draft(ResourceShares)
 
 
 def _build_shares(cpu: float, memory: float, network: float, filesystem: float) -> ResourceShares:
     """``ResourceShares(...)`` without the type call and ``__init__`` frame.
 
     One comparison accepts exactly what the constructor accepts; a share
-    it refuses goes to the constructor, which names it.
+    it refuses goes to the constructor, which names it. The shares go
+    into a draft, which the last store makes ``ResourceShares``.
     """
     if not (
         0.0 < cpu <= 1.0
@@ -129,11 +134,12 @@ def _build_shares(cpu: float, memory: float, network: float, filesystem: float) 
         and 0.0 < filesystem <= 1.0
     ):
         return ResourceShares(cpu, memory, network, filesystem)
-    shares = _new(ResourceShares)
-    _set_cpu(shares, cpu)
-    _set_memory(shares, memory)
-    _set_network(shares, network)
-    _set_filesystem(shares, filesystem)
+    shares = _new(_ResourceSharesDraft)
+    shares.cpu = cpu
+    shares.memory = memory
+    shares.network = network
+    shares.filesystem = filesystem
+    shares.__class__ = ResourceShares
     return shares
 
 

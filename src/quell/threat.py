@@ -45,9 +45,13 @@ each field by name, then stores them with ``_fill``. Every epoch builds
 a ledger, so ``step_epoch``, ``resolve_terminable`` and
 ``mark_completed`` build theirs with ``_build_ledger`` instead: one
 chained comparison accepts exactly what the constructor accepts, then
-``object.__new__`` and one call of each field's slot setter store the
-fields, with no type call and no ``__init__`` frame. A field the
-comparison refuses goes to the constructor, which raises its message.
+the fields are stored on ``object.__new__`` of the ledger's ``draft``,
+one plain slot store each, and one ``__class__`` assignment freezes it
+as a ``ThreatLedger``, with no type call and no ``__init__`` frame. The
+draft sets ``__delattr__`` with ``__setattr__``, because CPython keeps
+both in one type slot and overriding only one leaves every store on the
+slow path. A field the comparison refuses goes to the constructor,
+which raises its message.
 The per-epoch functions read enum members through module-level
 aliases, because a read through an ``Enum`` class takes its
 metaclass's slow ``__getattr__`` path.
@@ -63,7 +67,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from ._value import Value
+from ._value import Value, draft
 
 __all__ = [
     "SCORE_CEILING",
@@ -254,10 +258,7 @@ class ThreatLedger(Value):
 
 
 _new = object.__new__
-(
-    _set_penalty, _set_compensation, _set_threat_index, _set_state,
-    _set_epoch, _set_measurements, _set_exit_reason,
-) = ThreatLedger._setters
+_ThreatLedgerDraft = draft(ThreatLedger)
 
 
 def _build_ledger(
@@ -272,7 +273,8 @@ def _build_ledger(
     """``ThreatLedger(...)`` without the type call and ``__init__`` frame.
 
     One comparison accepts exactly what the constructor accepts; a field
-    it refuses goes to the constructor, which names it.
+    it refuses goes to the constructor, which names it. The fields go
+    into a draft, which the last store makes a ``ThreatLedger``.
     """
     if not (
         0.0 <= penalty <= SCORE_CEILING
@@ -282,14 +284,15 @@ def _build_ledger(
         and measurements >= 0
     ):
         return ThreatLedger(penalty, compensation, threat_index, state, epoch, measurements, exit_reason)
-    ledger = _new(ThreatLedger)
-    _set_penalty(ledger, penalty)
-    _set_compensation(ledger, compensation)
-    _set_threat_index(ledger, threat_index)
-    _set_state(ledger, state)
-    _set_epoch(ledger, epoch)
-    _set_measurements(ledger, measurements)
-    _set_exit_reason(ledger, exit_reason)
+    ledger = _new(_ThreatLedgerDraft)
+    ledger.penalty = penalty
+    ledger.compensation = compensation
+    ledger.threat_index = threat_index
+    ledger.state = state
+    ledger.epoch = epoch
+    ledger.measurements = measurements
+    ledger.exit_reason = exit_reason
+    ledger.__class__ = ThreatLedger
     return ledger
 
 

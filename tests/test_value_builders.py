@@ -3,22 +3,31 @@ what they build is what the constructors would have built.
 
 ``step_epoch``, ``resolve_terminable`` and ``mark_completed`` build their
 ledger with ``threat._build_ledger``, and ``actuate`` its moved shares
-with ``actuation._build_shares``: ``object.__new__`` plus the slot
-setters, behind the constructor's range check. A value built that way
-must be indistinguishable from a constructor-built copy of its fields,
-and a field out of range must raise the constructor's own message.
+with ``actuation._build_shares``: behind the constructor's range check,
+each stores the fields into ``object.__new__`` of a ``draft`` of the
+type with plain slot stores, then assigns the public type to its
+``__class__``. A value built that way must be indistinguishable from a
+constructor-built copy of its fields: the same type, equality, hash,
+repr, refusals and pickling. A field out of range must raise the
+constructor's own message, and no draft instance may ever reach a
+caller, which the whole runs of both drivers check.
 """
 
 import copy
+import dis
+import gc
 import itertools
 import math
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quell import actuation, threat
+from quell import actuation, simulation, supervisor, threat
+from quell._value import Value
 from quell.actuation import RESOURCES, ActuationMode, ActuatorPolicy, ResourceShares, actuate
 from quell.threat import (
     AssessmentPolicy,
@@ -31,13 +40,28 @@ from quell.threat import (
 )
 
 
+DRAFTS = (threat._ThreatLedgerDraft, actuation._ResourceSharesDraft)
+
+
+def refusals(value):
+    """The message of each refused assignment and deletion on ``value``."""
+    messages = []
+    for name in (*value.__match_args__, "__class__", "other"):
+        for act in (lambda: setattr(value, name, 1.0), lambda: delattr(value, name)):
+            with pytest.raises(AttributeError) as raised:
+                act()
+            messages.append(str(raised.value))
+    return messages
+
+
 def assert_built_like_the_constructor(value):
     cls = type(value)
-    assert cls in (ThreatLedger, ResourceShares)
+    assert cls is ThreatLedger or cls is ResourceShares
     built = cls(*value._astuple())
     assert value == built and built == value
     assert hash(value) == hash(built)
     assert repr(value) == repr(built)
+    assert refusals(value) == refusals(built)
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(twin) is cls
         assert twin == value
@@ -114,6 +138,7 @@ ledger_fields = st.tuples(
 @given(ledger_fields)
 def test_the_ledger_builder_gives_what_the_constructor_gives(fields):
     value = threat._build_ledger(*fields)
+    assert type(value) is ThreatLedger
     assert value == ThreatLedger(*fields)
     assert_built_like_the_constructor(value)
 
@@ -174,6 +199,7 @@ BAD_SHARES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, math.nextafter(1.0
 @given(st.tuples(share, share, share, share))
 def test_the_shares_builder_gives_what_the_constructor_gives(fields):
     value = actuation._build_shares(*fields)
+    assert type(value) is ResourceShares
     assert value == ResourceShares(*fields)
     assert_built_like_the_constructor(value)
 
@@ -182,3 +208,85 @@ def test_the_shares_builder_gives_what_the_constructor_gives(fields):
 def test_the_shares_builder_raises_the_constructor_message(fields, index, bad):
     fields = fields[:index] + (bad,) + fields[index + 1 :]
     assert message(actuation._build_shares, *fields) == message(ResourceShares, *fields)
+
+
+# -- the drafts ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("builder", "cls"),
+    [(threat._build_ledger, ThreatLedger), (actuation._build_shares, ResourceShares)],
+    ids=["ledger", "shares"],
+)
+def test_the_builders_store_each_field_once_and_call_no_setter(builder, cls):
+    code = builder.__code__
+    module = vars(threat if cls is ThreatLedger else actuation)
+    # No slot setter, bound or unpacked: every store is a plain store.
+    assert "_setters" not in code.co_names
+    assert not [name for name in code.co_names if type(module.get(name)).__name__ == "method-wrapper"]
+    stores = [i.argval for i in dis.get_instructions(code) if i.opname == "STORE_ATTR"]
+    assert stores == [*cls.__match_args__, "__class__"]
+
+
+@pytest.mark.parametrize("draft", DRAFTS, ids=lambda draft: draft.__name__)
+def test_a_draft_stores_plainly(draft):
+    # Both, or CPython's shared set/delete slot keeps every store slow.
+    assert draft.__setattr__ is object.__setattr__
+    assert draft.__delattr__ is object.__delattr__
+
+
+def draft_instances(*roots):
+    """Every draft instance reachable from ``roots`` through values and containers."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) in DRAFTS:
+            found.append(obj)
+        if isinstance(obj, (Value, tuple, list, dict)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def recording(function, results):
+    def record(*args):
+        result = function(*args)
+        results.append(result)
+        return result
+
+    return record
+
+
+def test_no_draft_leaves_a_supervised_fleet(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import fleet
+
+    from quell.config import load_scenario
+    from quell.hostadapter import FakeHostAdapter
+
+    results = []
+    monkeypatch.setattr(supervisor, "respond", recording(supervisor.respond, results))
+    monkeypatch.setattr(supervisor, "mark_completed", recording(supervisor.mark_completed, results))
+    scenario = load_scenario(fleet.write_supervise_fleet(tmp_path, 1))
+    reports = supervisor.supervise(scenario, FakeHostAdapter())
+    assert len(results) > 45_000
+    assert draft_instances(reports, results) == []
+
+
+def test_no_draft_leaves_either_driver_on_the_differential_scenarios(monkeypatch):
+    from test_supervisor import EpochStampedHost, random_scenario
+
+    results = []
+    record = recording(simulation.respond, results)
+    for module in (simulation, supervisor):
+        monkeypatch.setattr(module, "respond", record)
+    logs = []
+    for seed in range(40):
+        scenario = random_scenario(random.Random(seed))
+        logs.append(simulation.run_scenario(scenario))
+        logs.append(supervisor.supervise(scenario, EpochStampedHost()))
+    assert {type(ledger) for ledger, _ in results} == {ThreatLedger}
+    assert {type(shares) for _, shares in results} == {ResourceShares}
+    assert draft_instances(logs, results) == []

@@ -18,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quell
+from quell import actuation, threat
 from quell._value import Value
 from quell.actuation import (
     RESOURCES,
@@ -149,13 +150,26 @@ def field_names(cls) -> list[str]:
     return list(cls.__match_args__)
 
 
+# The drafts the per-epoch builders store into, each with the public type
+# it becomes. ``tests/test_value_builders.py`` checks that none escapes.
+DRAFTS = {threat._ThreatLedgerDraft: ThreatLedger, actuation._ResourceSharesDraft: ResourceShares}
+
+
 def test_every_value_type_is_sampled():
+    # A subclass is sampled, or it is the draft of a sampled type: a direct
+    # subclass that adds no slots.
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    assert set(subclasses(Value)) == set(SAMPLES)
+    found = set(subclasses(Value))
+    assert found - set(DRAFTS) == set(SAMPLES)
+    assert set(DRAFTS) <= found
+    for sub, public in DRAFTS.items():
+        assert public in SAMPLES
+        assert sub.__bases__ == (public,)
+        assert sub.__dict__["__slots__"] == ()
 
 
 @CASES
