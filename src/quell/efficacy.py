@@ -123,18 +123,17 @@ def required_measurements(
     to the next integer; the result always lies between the first and
     last point's measurement counts.
     """
-    if target.kind is TargetKind.F1_AT_LEAST:
-        metric = lambda p: p.f1  # noqa: E731
-        satisfied = lambda v: v >= target.threshold  # noqa: E731
-    else:
-        metric = lambda p: p.fpr  # noqa: E731
-        satisfied = lambda v: v <= target.threshold  # noqa: E731
-
     points = curve.points
-    flags = [satisfied(metric(p)) for p in points]
+    threshold = target.threshold
+    if target.kind is TargetKind.F1_AT_LEAST:
+        values = [p.f1 for p in points]
+        flags = [value >= threshold for value in values]
+    else:
+        values = [p.fpr for p in points]
+        flags = [value <= threshold for value in values]
     if not flags[-1]:
         raise UnreachableTargetError(
-            f"{curve.detector_name}: {target.kind.value} {target.threshold:g} is not "
+            f"{curve.detector_name}: {target.kind.value} {threshold:g} is not "
             f"met at the curve's last point ({points[-1].measurements} measurements)"
         )
 
@@ -150,10 +149,10 @@ def required_measurements(
         return points[0].measurements
 
     before, after = points[index - 1], points[index]
-    value_before, value_after = metric(before), metric(after)
+    value_before, value_after = values[index - 1], values[index]
     # before fails and after satisfies, so the segment brackets the
     # threshold and the denominator cannot be zero.
-    fraction = (target.threshold - value_before) / (value_after - value_before)
+    fraction = (threshold - value_before) / (value_after - value_before)
     crossing = before.measurements + fraction * (after.measurements - before.measurements)
     return int(math.ceil(crossing - _CEIL_GUARD))
 

@@ -52,7 +52,10 @@ The response curves, models, specs, logs and reports are ``__slots__``
 classes over ``quell._value.Value``: a hand-written constructor
 validates and stores the fields, and the base gives, with no code
 generated at import, the frozen dataclass's equality, hashing and repr
-over the fields, refused assignment and deletion, and pickling.
+over the fields, refused assignment and deletion, and pickling. None
+has an instance dict: what a constructor derives from the fields (a
+model's terms, a log's index by process) sits in a slot that is not a
+field, set with ``object.__setattr__``.
 ``Scenario`` alone stays a dataclass, because the benchmark's checks
 copy it with ``dataclasses.replace``; this is the one module that
 imports ``dataclasses``.
@@ -64,7 +67,6 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -224,11 +226,12 @@ class ProgressModel(Value):
         # (index into RESOURCES, curve.multiplier) per curve, in ``response``
         # order, for ``progress_rate``. Not a field, so equality, hashing
         # and repr ignore it.
-        _set_terms(self, tuple([(_INDEX[r], curve.multiplier) for r, curve in response.items()]))
+        object.__setattr__(
+            self, "_terms", tuple([(_INDEX[r], curve.multiplier) for r, curve in response.items()])
+        )
 
 
 _INDEX = {resource: index for index, resource in enumerate(RESOURCES)}
-_set_terms = ProgressModel.__dict__["_terms"].__set__
 _BOTTLENECK_MIN = Combiner.BOTTLENECK_MIN
 
 
@@ -355,26 +358,23 @@ class ScenarioLog(Value):
     A terminated process stops producing records after its termination
     epoch, so its record count can be smaller than ``epochs``.
 
-    The records are indexed by process once per log, on first use.
+    The log indexes its records by process when it is built.
     ``process_ids``, ``for_process`` and ``total_progress`` read that
-    index, so a report over every process is linear in records. The
-    index is a ``cached_property``, kept in the instance ``__dict__``
-    slot.
+    index, so a report over every process is linear in records.
     """
 
-    __slots__ = ("epochs", "records", "__dict__")
+    __slots__ = ("epochs", "records", "_by_process")
     epochs: int
     records: tuple[EpochRecord, ...]
 
     def __init__(self, epochs: int, records: tuple[EpochRecord, ...]) -> None:
         self._fill(epochs, records)
-
-    @cached_property
-    def _by_process(self) -> dict[str, tuple[EpochRecord, ...]]:
         rows: dict[str, list[EpochRecord]] = {}
-        for record in self.records:
+        for record in records:
             rows.setdefault(record.process_id, []).append(record)
-        return {process_id: tuple(run) for process_id, run in sorted(rows.items())}
+        index = {process_id: tuple(run) for process_id, run in sorted(rows.items())}
+        # Not a field, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_by_process", index)
 
     def process_ids(self) -> tuple[str, ...]:
         return tuple(self._by_process)

@@ -57,9 +57,11 @@ aliases, because a read through an ``Enum`` class takes its
 metaclass's slow ``__getattr__`` path.
 
 About half of all steps are benign verdicts on a normal ledger, whose
-threat index stays 0.0. ``step_epoch`` sets a threat index equal to
-zero to 0.0 itself, which is what ``clamp`` returns for it, and calls
-``clamp`` only for a score that is not a float in (0, 100].
+threat index stays 0.0. ``step_epoch`` tests each score's range inline:
+it sets a threat index equal to zero to 0.0 itself, which is what
+``clamp`` returns for it, and calls ``clamp`` only for a score that is
+not a float in (0, 100]. So ``clamp`` is only the checked path: the
+finite check, then the bound.
 """
 
 from __future__ import annotations
@@ -128,13 +130,6 @@ def clamp(value: float) -> float:
     every producer of scores in this module is bounded, so NaN or
     infinity means the caller fed garbage in.
     """
-    # Zero first, -0.0 included: the score ``step_epoch`` clamps most often.
-    if value == 0.0:
-        return 0.0
-    # In range already: the comparison is false for NaN and both
-    # infinities, which the checked path handles.
-    if 0.0 < value <= SCORE_CEILING:
-        return float(value)
     if not math.isfinite(value):
         raise ValueError(f"score must be finite, got {value!r}")
     return max(0.0, min(float(value), SCORE_CEILING))

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +18,16 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 @pytest.fixture
 def configs_dir() -> Path:
     return CONFIGS
+
+
+@pytest.fixture
+def sleeper():
+    """A ``sleep 30`` child, killed and reaped after the test."""
+    proc = subprocess.Popen(["sleep", "30"])
+    yield proc
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
 
 
 @pytest.fixture

@@ -404,14 +404,6 @@ needs_linux = pytest.mark.skipif(
 @needs_linux
 class TestSupervisePid:
     @pytest.fixture
-    def sleeper(self):
-        proc = subprocess.Popen(["sleep", "30"])
-        yield proc
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-
-    @pytest.fixture
     def quick_scenario(self, tmp_path):
         path = tmp_path / "live.ini"
         path.write_text(
@@ -450,33 +442,6 @@ class TestSupervisePid:
         assert sleeper.wait(timeout=5) != 0
         supervision = (tmp_path / "supervision.csv").read_text().splitlines()
         assert supervision[1].startswith("target,terminated,2,detector,0.900000")
-
-    def test_pid_mode_requires_exactly_one_process(self, tmp_path, sleeper, capsys):
-        path = tmp_path / "two.ini"
-        path.write_text(
-            "[scenario]\n"
-            "epochs = 3\n"
-            "measurement_budget = 5\n"
-            "\n"
-            "[process.a]\n"
-            "base_rate = 1.0\n"
-            "detector = flagger\n"
-            "\n"
-            "[process.b]\n"
-            "base_rate = 1.0\n"
-            "detector = flagger\n"
-            "\n"
-            "[detector.flagger]\n"
-            "kind = stochastic\n"
-            "tpr = 1.0\n"
-            "fpr = 0.0\n"
-            "ground_truth = benign\n"
-        )
-        code = main(
-            ["supervise", "--scenario", str(path), "--out", str(tmp_path), "--pid", str(sleeper.pid)]
-        )
-        assert code == EXIT_CONFIG
-        assert "exactly one" in capsys.readouterr().err
 
     def test_two_processes_are_rejected_before_the_output_directory(
         self, tmp_path, quick_scenario, sleeper, capsys
@@ -586,13 +551,18 @@ class TestArgumentErrors:
                 ["supervise", "--scenario", SUPERVISED, "--out", "out"], 2,
                 "quell supervise: error: one of the arguments --fake-adapter --pid is required",
             ),
+            (
+                # argparse takes "-inf" for an option, so the value needs "--epoch-ms=-inf".
+                ["plan", "--curve", CURVE, "--f1", "0.9", "--epoch-ms", "-inf"], 2,
+                "quell plan: error: argument --epoch-ms: expected one argument",
+            ),
             (["nope"], 2, "quell: error: argument command: invalid choice: 'nope'"),
             ([], 2, "quell: error: the following arguments are required: command"),
         ],
         ids=[
             "quell help", "simulate help", "plan help", "replay help", "supervise help",
             "missing required option", "f1 with fpr", "supervise without an adapter",
-            "unknown subcommand", "no subcommand",
+            "option-like epoch-ms value", "unknown subcommand", "no subcommand",
         ],
     )
     def test_argparse_prints_every_text(self, argv, code, last_line, capsys, monkeypatch):

@@ -223,14 +223,6 @@ def _proc_state(pid: int) -> str | None:
 
 @needs_linux
 class TestLinuxSignalAdapter:
-    @pytest.fixture
-    def sleeper(self):
-        proc = subprocess.Popen(["sleep", "30"])
-        yield proc
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-
     def test_full_control_cycle(self, sleeper):
         adapter = LinuxSignalAdapter()
         try:
@@ -268,6 +260,36 @@ class TestLinuxSignalAdapter:
             adapter.close()
             assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
             assert adapter._cyclers[handle.ident].is_alive()
+        finally:
+            adapter.close()
+
+    def test_a_new_cpu_share_retunes_the_running_cycler(self, sleeper):
+        adapter = LinuxSignalAdapter()
+        try:
+            handle = adapter.attach(sleeper.pid)
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            cycler = adapter._cyclers[handle.ident]
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is False
+            assert adapter._cyclers[handle.ident] is cycler
+            assert cycler.is_alive() and cycler.fraction == 0.2
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is True
+        finally:
+            adapter.close()
+
+    def test_a_cycler_whose_thread_ended_counts_as_none(self, sleeper):
+        adapter = LinuxSignalAdapter()
+        try:
+            handle = adapter.attach(sleeper.pid)
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            ended = adapter._cyclers[handle.ident]
+            ended.stop_event.set()
+            ended.join(timeout=5)
+            assert not ended.is_alive()
+            # The host holds the full share again, so the defaults change nothing.
+            assert adapter.apply_shares(handle, ResourceShares()).noop is True
+            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+            cycler = adapter._cyclers[handle.ident]
+            assert cycler is not ended and cycler.is_alive()
         finally:
             adapter.close()
 

@@ -1,14 +1,14 @@
 """The per-epoch fast paths behave exactly like the code they stand for.
 
-``clamp`` returns early for a zero and for a score already in range,
-``step_epoch`` calls ``clamp`` only for a score that is not a float in
-(0, 100] and is not a zero threat index, ``actuate`` computes one move
-per call for all its targets, ``progress_rate`` folds terms each model
-computes once, ``StochasticSource`` compares the draw's
-top 53 bits with a cutoff computed once, the per-epoch functions read
-enum members through module-level aliases, the fake host keeps a
-compact call log and spells its CSV rows as f-strings, and ``log.csv``
-spells each row as one ``%`` format. These tests hold each shortcut to the plain form it replaces.
+``step_epoch`` tests each score's range inline and calls ``clamp`` only
+for a score that is not a float in (0, 100] and is not a zero threat
+index, ``actuate`` computes one move per call for all its targets,
+``progress_rate`` folds terms each model computes once,
+``StochasticSource`` compares the draw's top 53 bits with a cutoff
+computed once, the per-epoch functions read enum members through
+module-level aliases, the fake host keeps a compact call log and spells
+its CSV rows as f-strings, and ``log.csv`` spells each row as one ``%``
+format. These tests hold each shortcut to the plain form it replaces.
 The builders the steps use instead of the ledger's and the shares'
 constructors are held to those constructors in
 ``tests/test_value_builders.py``, and the shares' early-exit ``__eq__``

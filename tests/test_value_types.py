@@ -177,8 +177,7 @@ def test_signature_matches_the_fields(cls, values, others):
     parameters = list(inspect.signature(cls).parameters.values())
     assert [p.name for p in parameters] == field_names(cls)
     assert {p.kind for p in parameters} <= {inspect.Parameter.POSITIONAL_OR_KEYWORD}
-    # Only the log has an instance dict, for its cached index.
-    assert hasattr(cls(*values), "__dict__") is (cls is ScenarioLog)
+    assert not hasattr(cls(*values), "__dict__")
 
 
 @CASES
@@ -381,15 +380,19 @@ def test_sequences_are_held_as_tuples(build, attribute):
     assert type(getattr(value, attribute)) is tuple
 
 
-def test_the_log_index_is_built_once_on_first_use():
+def test_the_log_index_is_built_with_the_log():
     records = (RECORD, RECORD._replace(process_id="a"), RECORD._replace(epoch=2, cumulative=6.0))
     log = ScenarioLog(2, records)
-    assert vars(log) == {}
+    index = log._by_process
+    assert index == {"a": (records[1],), "p": (records[0], records[2])}
     assert log.process_ids() == ("a", "p")
-    index = vars(log)["_by_process"]
     assert log.for_process("p") == (records[0], records[2])
     assert log.total_progress("p") == 6.0
-    assert vars(log)["_by_process"] is index
-    # The index is no field: a log that built it equals one that did not.
-    assert log == ScenarioLog(2, records) and repr(log) == repr(ScenarioLog(2, records))
-    assert "_by_process" not in vars(copy.copy(log))
+    assert log._by_process is index
+    # The index is no field: equality and repr read the fields alone.
+    other = ScenarioLog(2, records)
+    object.__setattr__(other, "_by_process", {})
+    assert log == other and repr(log) == repr(other)
+    # A copy is rebuilt through the constructor, with an index of its own.
+    twin = copy.copy(log)
+    assert twin._by_process == index and twin._by_process is not index
