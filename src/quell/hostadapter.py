@@ -264,22 +264,42 @@ class FakeHostAdapter:
         return proc
 
 
-class _DutyCycler(threading.Thread):
-    """Stops and continues one pid so it runs a fraction of each period."""
+def _proc_stat(pid: int) -> tuple[str, int, int] | None:
+    """State letter, thread count and ``utime + stime`` clock ticks of
+    ``pid``, from ``/proc/<pid>/stat``; None when the entry is missing,
+    unreadable or short.
 
-    def __init__(self, pid: int, period_ms: float) -> None:
+    The command name in parentheses may hold spaces and ')', so fields
+    are counted after the last ')': the state is the first, utime and
+    stime the twelfth and thirteenth, and num_threads the eighteenth.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            fields = stat.read().rpartition(b")")[2].split()
+    except OSError:
+        return None
+    if len(fields) < 18:
+        return None
+    return fields[0].decode(), int(fields[17]), int(fields[11]) + int(fields[12])
+
+
+class _DutyCycler(threading.Thread):
+    """Stops and continues one pid so it runs a fraction of each
+    ``LinuxSignalAdapter.PERIOD_MS``."""
+
+    def __init__(self, pid: int) -> None:
         super().__init__(daemon=True)
         self.pid = pid
-        self.period_ms = period_ms
         self.fraction = 1.0
         self.stop_event = threading.Event()
 
     def run(self) -> None:  # pragma: no cover - timing loop
+        period_ms = LinuxSignalAdapter.PERIOD_MS
         try:
             while not self.stop_event.is_set():
                 fraction = self.fraction
-                run_s = self.period_ms * fraction / 1000.0
-                stop_s = self.period_ms * (1.0 - fraction) / 1000.0
+                run_s = period_ms * fraction / 1000.0
+                stop_s = period_ms * (1.0 - fraction) / 1000.0
                 os.kill(self.pid, signal.SIGCONT)
                 if self.stop_event.wait(run_s):
                     break
@@ -361,7 +381,7 @@ class LinuxSignalAdapter:
         if shares.cpu >= 1.0:
             self._stop_cycler(handle.ident)
         elif cycler is None:
-            cycler = self._cyclers[handle.ident] = _DutyCycler(pid, self.PERIOD_MS)
+            cycler = self._cyclers[handle.ident] = _DutyCycler(pid)
             cycler.fraction = shares.cpu
             cycler.start()
         else:
@@ -410,15 +430,5 @@ class LinuxSignalAdapter:
             return False
         except PermissionError:
             pass
-        try:
-            with open(f"/proc/{pid}/stat", "rb") as stat:
-                fields = stat.read()
-        except OSError:
-            return True
-        # The command name in parentheses may hold spaces and ')', so the
-        # state is the first field after the last ')' and num_threads the
-        # eighteenth.
-        after_name = fields.rpartition(b")")[2].split()
-        if len(after_name) < 18 or after_name[0] not in (b"Z", b"X"):
-            return True
-        return int(after_name[17]) > 1
+        stat = _proc_stat(pid)
+        return stat is None or stat[0] not in ("Z", "X") or stat[1] > 1

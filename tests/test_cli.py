@@ -14,6 +14,8 @@ from quell.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNREACHABLE, main
 from quell.csvio import write_rows
 from quell.hostadapter import CALLS_CSV_HEADER, FakeHostAdapter
 
+from conftest import needs_linux
+
 DIPPING_CURVE = """\
 measurements,f1,fpr
 1,0.50,0.50
@@ -396,11 +398,6 @@ class TestSuperviseFake:
         assert capsys.readouterr().err == "error: no space left for calls.csv\n"
 
 
-needs_linux = pytest.mark.skipif(
-    sys.platform != "linux", reason="drives real processes with Linux signals"
-)
-
-
 @needs_linux
 class TestSupervisePid:
     @pytest.fixture
@@ -497,8 +494,10 @@ class TestSupervisePid:
         assert not out.exists()
         assert sent == []
 
-    def test_dead_pid_is_rejected_before_the_output_directory(self, tmp_path, quick_scenario, capsys):
-        child = subprocess.Popen(["true"])
+    def test_dead_pid_is_rejected_before_the_output_directory(
+        self, tmp_path, quick_scenario, capsys, spawn
+    ):
+        child = spawn(["true"])
         child.wait()  # reaped: the pid names no process now
         out = tmp_path / "out"
         code = main(

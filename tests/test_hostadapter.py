@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,8 +19,11 @@ from quell.hostadapter import (
     LinuxSignalAdapter,
     ProcessHandle,
     StaleHandleError,
+    _proc_stat,
     format_shares,
 )
+
+from conftest import needs_linux
 
 
 class TestFormatShares:
@@ -207,97 +209,90 @@ class TestCallExport:
         assert lines[3] == "2,worker,terminate,"
 
 
-needs_linux = pytest.mark.skipif(
-    sys.platform != "linux", reason="drives real processes with Linux signals"
-)
+def wait_for_state(pid: int, letter: str) -> None:
+    """Poll ``/proc/<pid>/stat`` until ``pid`` shows state ``letter``.
 
-
-def _proc_state(pid: int) -> str | None:
-    """State letter from /proc/<pid>/stat, or None when it cannot be read."""
-    try:
-        fields = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    return fields.rpartition(")")[2].split()[0]
+    Skips the test when the entry cannot be read, and fails it after 10 s.
+    """
+    if _proc_stat(pid) is None:
+        pytest.skip("/proc/<pid>/stat is not readable")
+    deadline = time.monotonic() + 10.0
+    while (_proc_stat(pid) or ("",))[0] != letter:
+        assert time.monotonic() < deadline, f"process {pid} never showed state {letter}"
+        time.sleep(0.01)
 
 
 @needs_linux
 class TestLinuxSignalAdapter:
-    def test_full_control_cycle(self, sleeper):
-        adapter = LinuxSignalAdapter()
-        try:
-            handle = adapter.attach(sleeper.pid)
-            assert adapter.poll(handle) is True
-            ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            assert ack.unsupported == ("memory", "network", "filesystem")
-            time.sleep(0.05)
-            restore = adapter.apply_shares(handle, ResourceShares())
-            assert restore.noop is False
-            assert adapter.terminate(handle).noop is False
-        finally:
-            adapter.close()
+    def test_full_control_cycle(self, sleeper, linux_adapter):
+        handle = linux_adapter.attach(sleeper.pid)
+        assert linux_adapter.poll(handle) is True
+        ack = linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+        assert ack.unsupported == ("memory", "network", "filesystem")
+        time.sleep(0.05)
+        restore = linux_adapter.apply_shares(handle, ResourceShares())
+        assert restore.noop is False
+        assert linux_adapter.terminate(handle).noop is False
         assert sleeper.wait(timeout=5) != 0
-        assert adapter.poll(handle) is False
+        assert linux_adapter.poll(handle) is False
 
-    def test_apply_that_leaves_the_cpu_share_as_it_was_is_a_noop(self, sleeper):
-        adapter = LinuxSignalAdapter()
-        try:
-            handle = adapter.attach(sleeper.pid)
-            assert adapter.apply_shares(handle, ResourceShares(memory=0.5)).noop is True
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is True
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5, memory=0.9)).noop is True
-        finally:
-            adapter.close()
+    def test_apply_that_leaves_the_cpu_share_as_it_was_is_a_noop(self, sleeper, linux_adapter):
+        handle = linux_adapter.attach(sleeper.pid)
+        assert linux_adapter.apply_shares(handle, ResourceShares(memory=0.5)).noop is True
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is True
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5, memory=0.9)).noop is True
 
-    def test_apply_after_close_throttles_again(self, sleeper):
+    def test_apply_after_close_throttles_again(self, sleeper, linux_adapter):
         # close() stops every duty cycler, so the process runs at the full
         # share again and the same throttle must start a new cycler.
-        adapter = LinuxSignalAdapter()
-        try:
-            handle = adapter.attach(sleeper.pid)
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            adapter.close()
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            assert adapter._cyclers[handle.ident].is_alive()
-        finally:
-            adapter.close()
+        handle = linux_adapter.attach(sleeper.pid)
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        linux_adapter.close()
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        assert linux_adapter._cyclers[handle.ident].is_alive()
 
-    def test_a_new_cpu_share_retunes_the_running_cycler(self, sleeper):
-        adapter = LinuxSignalAdapter()
-        try:
-            handle = adapter.attach(sleeper.pid)
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            cycler = adapter._cyclers[handle.ident]
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is False
-            assert adapter._cyclers[handle.ident] is cycler
-            assert cycler.is_alive() and cycler.fraction == 0.2
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is True
-        finally:
-            adapter.close()
+    def test_a_new_cpu_share_retunes_the_running_cycler(self, sleeper, linux_adapter):
+        handle = linux_adapter.attach(sleeper.pid)
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        cycler = linux_adapter._cyclers[handle.ident]
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is False
+        assert linux_adapter._cyclers[handle.ident] is cycler
+        assert cycler.is_alive() and cycler.fraction == 0.2
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.2)).noop is True
 
-    def test_a_cycler_whose_thread_ended_counts_as_none(self, sleeper):
-        adapter = LinuxSignalAdapter()
-        try:
-            handle = adapter.attach(sleeper.pid)
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            ended = adapter._cyclers[handle.ident]
-            ended.stop_event.set()
-            ended.join(timeout=5)
-            assert not ended.is_alive()
-            # The host holds the full share again, so the defaults change nothing.
-            assert adapter.apply_shares(handle, ResourceShares()).noop is True
-            assert adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
-            cycler = adapter._cyclers[handle.ident]
-            assert cycler is not ended and cycler.is_alive()
-        finally:
-            adapter.close()
+    def test_a_cycler_whose_thread_ended_counts_as_none(self, sleeper, linux_adapter):
+        handle = linux_adapter.attach(sleeper.pid)
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        ended = linux_adapter._cyclers[handle.ident]
+        ended.stop_event.set()
+        ended.join(timeout=5)
+        assert not ended.is_alive()
+        # The host holds the full share again, so the defaults change nothing.
+        assert linux_adapter.apply_shares(handle, ResourceShares()).noop is True
+        assert linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5)).noop is False
+        cycler = linux_adapter._cyclers[handle.ident]
+        assert cycler is not ended and cycler.is_alive()
 
-    def test_full_share_on_a_handle_attach_never_returned_is_a_noop(self, sleeper):
-        adapter = LinuxSignalAdapter()
+    def test_full_share_on_a_handle_attach_never_returned_is_a_noop(self, sleeper, linux_adapter):
         handle = ProcessHandle(ident=str(sleeper.pid))
-        assert adapter.apply_shares(handle, ResourceShares()).noop is True
-        assert adapter._cyclers == {}
+        assert linux_adapter.apply_shares(handle, ResourceShares()).noop is True
+        assert linux_adapter._cyclers == {}
+
+    def test_a_throttled_busy_child_is_stopped_and_runs_its_share(self, spawn, linux_adapter):
+        busy = spawn([sys.executable, "-c", "while True: pass"])
+        handle = linux_adapter.attach(busy.pid)
+        linux_adapter.apply_shares(handle, ResourceShares(cpu=0.2))
+        throttled = time.monotonic()
+        wait_for_state(busy.pid, "T")
+        assert time.monotonic() - throttled < 1.0
+        # Each 100 ms period runs the child 20 ms: a share near 0.2.
+        ticks, start = _proc_stat(busy.pid)[2], time.monotonic()
+        time.sleep(1.0)
+        ticks, seconds = _proc_stat(busy.pid)[2] - ticks, time.monotonic() - start
+        assert 0.05 <= ticks / os.sysconf("SC_CLK_TCK") / seconds <= 0.4
+        linux_adapter.close()
+        assert _proc_stat(busy.pid)[0] != "T"
 
     @pytest.fixture
     def sent(self, monkeypatch):
@@ -352,83 +347,60 @@ class TestLinuxSignalAdapter:
         assert str(excinfo.value) == "not permitted to signal process 4242"
         assert sent == [(4242, 0)]
 
-    def test_attach_to_dead_pid_raises(self, sleeper):
-        sleeper.kill()
-        sleeper.wait()
-        adapter = LinuxSignalAdapter()
-        with pytest.raises(StaleHandleError):
-            adapter.attach(sleeper.pid)
-
-    def test_signalling_a_dead_pid_raises(self, sleeper):
-        adapter = LinuxSignalAdapter()
-        handle = adapter.attach(sleeper.pid)
+    def test_attach_to_dead_pid_raises(self, sleeper, linux_adapter):
         sleeper.kill()
         sleeper.wait()
         with pytest.raises(StaleHandleError):
-            adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-        assert adapter.terminate(handle).noop is True
+            linux_adapter.attach(sleeper.pid)
 
-    def test_zombie_is_gone(self):
-        child = subprocess.Popen(["sleep", "0"])
-        try:
-            if _proc_state(child.pid) is None:
-                pytest.skip("/proc/<pid>/stat is not readable")
-            deadline = time.monotonic() + 10.0
-            while _proc_state(child.pid) != "Z":
-                assert time.monotonic() < deadline, "the child never showed state Z"
-                time.sleep(0.01)
-            adapter = LinuxSignalAdapter()
-            handle = ProcessHandle(ident=str(child.pid))
-            threads = threading.active_count()
-            assert adapter.poll(handle) is False
-            with pytest.raises(StaleHandleError):
-                adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            with pytest.raises(StaleHandleError):
-                adapter.attach(child.pid)
-            assert adapter._cyclers == {}
-            assert threading.active_count() == threads
-            assert _proc_state(child.pid) == "Z"
-        finally:
-            child.wait(timeout=5)
+    def test_signalling_a_dead_pid_raises(self, sleeper, linux_adapter):
+        handle = linux_adapter.attach(sleeper.pid)
+        sleeper.kill()
+        sleeper.wait()
+        with pytest.raises(StaleHandleError):
+            linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+        assert linux_adapter.terminate(handle).noop is True
 
-    def test_terminating_a_zombie_signals_nothing(self, monkeypatch):
+    def test_zombie_is_gone(self, spawn, linux_adapter):
+        child = spawn(["sleep", "0"])
+        wait_for_state(child.pid, "Z")
+        handle = ProcessHandle(ident=str(child.pid))
+        threads = threading.active_count()
+        assert linux_adapter.poll(handle) is False
+        with pytest.raises(StaleHandleError):
+            linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+        with pytest.raises(StaleHandleError):
+            linux_adapter.attach(child.pid)
+        assert linux_adapter._cyclers == {}
+        assert threading.active_count() == threads
+        assert _proc_stat(child.pid)[0] == "Z"
+
+    def test_terminating_a_zombie_signals_nothing(self, spawn, linux_adapter, monkeypatch):
         # The child is duty-cycled, then exits on its own and stays
         # unreaped: terminate stops the cycler and kills nothing.
-        child = subprocess.Popen(
-            [sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE
-        )
-        adapter = LinuxSignalAdapter()
-        try:
-            if _proc_state(child.pid) is None:
-                pytest.skip("/proc/<pid>/stat is not readable")
-            handle = adapter.attach(child.pid)
-            threads = threading.active_count()
-            adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            assert adapter._cyclers[handle.ident].is_alive()
-            child.stdin.close()
-            deadline = time.monotonic() + 10.0
-            while _proc_state(child.pid) != "Z":
-                assert time.monotonic() < deadline, "the child never showed state Z"
-                time.sleep(0.01)
-            sent = []
-            kill = os.kill
+        child = spawn([sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE)
+        handle = linux_adapter.attach(child.pid)
+        threads = threading.active_count()
+        linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+        assert linux_adapter._cyclers[handle.ident].is_alive()
+        child.stdin.close()
+        wait_for_state(child.pid, "Z")
+        sent = []
+        kill = os.kill
 
-            def recording_kill(pid, signo):
-                sent.append(signo)
-                kill(pid, signo)
+        def recording_kill(pid, signo):
+            sent.append(signo)
+            kill(pid, signo)
 
-            monkeypatch.setattr(os, "kill", recording_kill)
-            assert adapter.terminate(handle) == Ack(noop=True)
-            monkeypatch.undo()
-            assert signal.SIGKILL not in sent
-            assert adapter._cyclers == {}
-            assert threading.active_count() == threads
-            assert _proc_state(child.pid) == "Z"
-        finally:
-            adapter.close()
-            child.wait(timeout=5)
+        monkeypatch.setattr(os, "kill", recording_kill)
+        assert linux_adapter.terminate(handle) == Ack(noop=True)
+        monkeypatch.undo()
+        assert signal.SIGKILL not in sent
+        assert linux_adapter._cyclers == {}
+        assert threading.active_count() == threads
+        assert _proc_stat(child.pid)[0] == "Z"
 
-    def test_zombie_leader_with_a_running_thread_is_alive(self):
+    def test_zombie_leader_with_a_running_thread_is_alive(self, spawn, linux_adapter):
         # The main thread exits while a second thread sleeps: /proc shows
         # the leader as Z, but the process runs on and must stay under
         # supervision until it is killed.
@@ -437,25 +409,13 @@ class TestLinuxSignalAdapter:
             "threading.Thread(target=time.sleep, args=(30,)).start()\n"
             "ctypes.CDLL(None).pthread_exit(None)\n"
         )
-        child = subprocess.Popen([sys.executable, "-c", code])
-        adapter = LinuxSignalAdapter()
-        try:
-            if _proc_state(child.pid) is None:
-                pytest.skip("/proc/<pid>/stat is not readable")
-            deadline = time.monotonic() + 10.0
-            while _proc_state(child.pid) != "Z":
-                assert child.poll() is None, "the child exited as a whole"
-                assert time.monotonic() < deadline, "the leader never showed state Z"
-                time.sleep(0.01)
-            handle = adapter.attach(child.pid)
-            assert adapter.poll(handle) is True
-            ack = adapter.apply_shares(handle, ResourceShares(cpu=0.5))
-            assert adapter._cyclers[handle.ident].is_alive()
-            assert adapter.terminate(handle) == Ack()
-            assert child.wait(timeout=5) == -signal.SIGKILL
-            assert adapter.poll(handle) is False
-        finally:
-            adapter.close()
-            if child.poll() is None:
-                child.kill()
-            child.wait(timeout=5)
+        child = spawn([sys.executable, "-c", code])
+        wait_for_state(child.pid, "Z")
+        assert child.poll() is None, "the child exited as a whole"
+        handle = linux_adapter.attach(child.pid)
+        assert linux_adapter.poll(handle) is True
+        linux_adapter.apply_shares(handle, ResourceShares(cpu=0.5))
+        assert linux_adapter._cyclers[handle.ident].is_alive()
+        assert linux_adapter.terminate(handle) == Ack()
+        assert child.wait(timeout=5) == -signal.SIGKILL
+        assert linux_adapter.poll(handle) is False

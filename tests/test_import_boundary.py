@@ -84,6 +84,20 @@ def test_no_module_silences_a_lint_rule():
     ]
 
 
+def test_only_the_spawn_fixture_starts_a_live_child():
+    # A Popen's child outlives the call, so conftest's spawn fixture owns
+    # each one and reaps it; subprocess.run waits for its child itself.
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found += [
+            (path.name, ast.get_source_segment(source, node))
+            for node in ast.walk(ast.parse(source, filename=str(path)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("subprocess.Popen", "Popen")
+        ]
+    assert found == [("conftest.py", "subprocess.Popen(args, **kwargs)")]
+
+
 def test_the_fleets_load_without_configparser(tmp_path, monkeypatch):
     # Both benchmark fleets are inside the lean INI reader's subset; if either
     # fell back to configparser, their scenario load would pay its parse again.
@@ -226,8 +240,8 @@ def test_help_still_loads_argparse(tmp_path):
     assert "argparse" in loaded
 
 
-def test_supervise_of_a_vanished_pid_still_exits_3(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
+def test_supervise_of_a_vanished_pid_still_exits_3(tmp_path, spawn):
+    child = spawn([sys.executable, "-c", "pass"])
     child.wait()  # reaped: the pid names no process now
     args = ["supervise", "--scenario", str(CONFIGS / "supervised_attack.ini"), "--out", "out",
             "--pid", str(child.pid)]
